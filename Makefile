@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race lint cover bench bench-gate bench-baseline fleet plan serve docker docker-smoke soak soak-fleet soak-elastic fuzz golden
+.PHONY: all build vet test test-short test-race lint cover bench bench-gate bench-baseline perfbench-test fleet plan serve docker docker-smoke soak soak-fleet soak-elastic fuzz golden
 
 all: build vet test-short
 
@@ -57,6 +57,12 @@ bench-gate:
 # Refresh the committed benchmark baseline after an intentional change.
 bench-baseline:
 	$(GO) run ./cmd/benchgate -update
+
+# The end-to-end benchmark (perfbench/) is its own module, so the root
+# `go test ./...` never compiles it: vet and test it against the public
+# API here, so an API change cannot break it unnoticed.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Online fleet simulation quick-look across all three topologies.
 fleet:

@@ -304,18 +304,18 @@ func BenchmarkAblationCoLocation(b *testing.B) {
 // arrivals, departures, and all three injection kinds over a sparse
 // topology — and reports placement throughput alongside ns/op.
 func BenchmarkRunFleet(b *testing.B) {
+	inj, err := pond.ParseInjections("surge@t=100:dur=100:x=3,emc-fail@t=300,host-drain@t=400:host=1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := pond.FleetOpts{
+		Cluster:    pond.ClusterOpts{Topology: "sparse", Hosts: 4, EMCs: 4, PoolGB: 64, Cells: 2, DurationSec: 600},
+		Arrivals:   pond.ArrivalOpts{Process: "poisson", RatePerSec: 0.2, MeanLifetimeSec: 200},
+		Model:      pond.ModelOpts{Disabled: true},
+		Injections: inj,
+	}
 	for i := 0; i < b.N; i++ {
-		rep, err := pond.RunFleet(context.Background(), pond.FleetOpts{
-			Topology:           "sparse",
-			Hosts:              4,
-			EMCs:               4,
-			PoolGB:             64,
-			Cells:              2,
-			DurationSec:        600,
-			Arrival:            "poisson:rate=0.2:life=200",
-			Inject:             "surge@t=100:dur=100:x=3,emc-fail@t=300,host-drain@t=400:host=1",
-			DisablePredictions: true,
-		})
+		rep, err := pond.RunFleet(context.Background(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}

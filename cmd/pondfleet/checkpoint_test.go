@@ -1,7 +1,7 @@
 package main
 
 import (
-	"bytes"
+	"bufio"
 	"fmt"
 	"os"
 	"os/exec"
@@ -69,12 +69,12 @@ func TestCheckpointKillResumeMatrix(t *testing.T) {
 					}
 					final = out
 				case !ok && !strings.Contains(out, "interrupted"):
-					// SIGTERM landed before the handler was installed, so
-					// the default action killed the process before a
-					// snapshot was (re)written. The previous snapshot on
+					// SIGTERM landed after the run released its handler on
+					// the way out, so the default action killed the process
+					// before it printed a summary. The previous snapshot on
 					// disk is untouched; rerunning the same leg is
 					// idempotent.
-					t.Logf("leg %d killed pre-handler; retrying", leg)
+					t.Logf("leg %d killed outside the handler; retrying", leg)
 				default:
 					t.Fatalf("leg %d: unexpected outcome (ok=%v):\n%s", leg, ok, out)
 				}
@@ -152,24 +152,42 @@ func runToCompletion(t *testing.T, args []string) string {
 }
 
 // runLeg execs the test binary as pondfleet. A non-zero kill delay
-// sends SIGTERM that long after start. Returns combined output and
-// whether the process exited 0.
+// sends SIGTERM that long after the run prints its "checkpoint armed"
+// line, so the delay measures simulation time, not set-up time: on a
+// loaded machine model training alone can outlast a fixed delay from
+// process start. Returns combined output and whether the process
+// exited 0.
 func runLeg(t *testing.T, args []string, kill time.Duration) (string, bool) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "PONDFLEET_RUN_MAIN=1")
-	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	cmd.Stderr = &buf
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	cmd.Stdout = pw
+	cmd.Stderr = pw
 	if err := cmd.Start(); err != nil {
+		pw.Close()
 		t.Fatalf("starting %v: %v", args, err)
 	}
-	if kill > 0 {
-		timer := time.AfterFunc(kill, func() { cmd.Process.Signal(syscall.SIGTERM) })
-		defer timer.Stop()
+	pw.Close()
+	var out strings.Builder
+	var timer *time.Timer
+	rd := bufio.NewReader(pr)
+	for {
+		line, rerr := rd.ReadString('\n')
+		out.WriteString(line)
+		if kill > 0 && timer == nil && strings.HasPrefix(line, "checkpoint armed") {
+			timer = time.AfterFunc(kill, func() { cmd.Process.Signal(syscall.SIGTERM) })
+			defer timer.Stop()
+		}
+		if rerr != nil {
+			break
+		}
 	}
-	err := cmd.Wait()
-	return buf.String(), err == nil
+	return out.String(), cmd.Wait() == nil
 }
 
 // summaryWitness extracts "N events, sha256=..." from a completed run's

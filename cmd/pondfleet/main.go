@@ -45,6 +45,7 @@ import (
 	"pond"
 	"pond/internal/cliutil"
 	"pond/internal/fleet"
+	"pond/internal/fsutil"
 )
 
 // flags carries every pondfleet flag value so validation is testable
@@ -63,21 +64,20 @@ type flags struct {
 	opts       pond.FleetOpts
 }
 
-// baseOpts seeds the grouped defaults the flag registrations use.
-// Arrivals are zeroed because the -arrival spec string carries the
-// arrival model (the shim maps it; leaving both set would trip the
-// conflict check), and the topology comes from the -topology list.
+// baseOpts seeds the grouped defaults the flag registrations use. The
+// topology comes from the -topology list, and validate fills Arrivals
+// and Injections from the -arrival and -inject spec strings.
 func baseOpts() pond.FleetOpts {
 	o := pond.Defaults()
-	o.Arrivals = pond.ArrivalOpts{}
 	o.Cluster.Topology = ""
 	return o
 }
 
 // validate rejects every flag combination the fleet layer would only
 // reject after parsing — or, worse, silently coerce — with one readable
-// error. It returns the parsed topology list on success.
-func validate(f flags) ([]string, error) {
+// error. It parses the -arrival and -inject spec strings into the
+// grouped f.opts and returns the parsed topology list on success.
+func validate(f *flags) ([]string, error) {
 	if err := cliutil.ValidateWorkers(f.opts.Engine.Workers); err != nil {
 		return nil, err
 	}
@@ -149,6 +149,14 @@ func validate(f flags) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	arr, err := fleet.ParseArrival(f.arrival)
+	if err != nil {
+		return nil, err
+	}
+	f.opts.Arrivals = pond.ArrivalOpts{Process: arr.Kind, RatePerSec: arr.RatePerSec, MeanLifetimeSec: arr.MeanLifetimeSec}
+	if f.opts.Injections, err = pond.ParseInjections(f.inject); err != nil {
+		return nil, err
+	}
 	if f.resume && f.checkpoint == "" {
 		return nil, fmt.Errorf("-resume requires -checkpoint <path>")
 	}
@@ -178,7 +186,7 @@ func main() {
 	cliutil.RegisterEngineFlags(flag.CommandLine, &f.opts.Engine)
 	flag.Parse()
 
-	names, err := validate(f)
+	names, err := validate(&f)
 	if err != nil {
 		cliutil.Fatal("pondfleet", err)
 	}
@@ -187,8 +195,6 @@ func main() {
 	for _, name := range names {
 		o := f.opts
 		o.Cluster.Topology = name
-		o.Arrival = f.arrival
-		o.Inject = f.inject
 		o.Model.Capture = f.modelsOut != ""
 		var rep *pond.FleetReport
 		var err error
@@ -336,6 +342,13 @@ func runStreamingMetrics(ctx context.Context, o pond.FleetOpts, metricsPath stri
 // rows not yet drained when a signal lands ride inside the snapshot and
 // are appended after -resume.
 func runCheckpointable(ctx context.Context, o pond.FleetOpts, path string, resume bool, metricsPath string) (*pond.FleetReport, error) {
+	// Install the handler before the (possibly slow) setup, so a signal
+	// that lands while the models train still pauses the run at its
+	// first safe point instead of killing the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	var fr *pond.FleetRun
 	if resume {
 		data, err := os.ReadFile(path)
@@ -369,10 +382,7 @@ func runCheckpointable(ctx context.Context, o pond.FleetOpts, path string, resum
 		defer mw.Close()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-
+	fmt.Printf("checkpoint armed: SIGTERM/SIGINT writes a snapshot to %s\n", path)
 	horizon := fr.Progress().DurationSec
 	slice := horizon / 64
 	for !fr.Done() {
@@ -386,11 +396,7 @@ func runCheckpointable(ctx context.Context, o pond.FleetOpts, path string, resum
 			if err != nil {
 				return nil, err
 			}
-			tmp := path + ".tmp"
-			if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-			if err := os.Rename(tmp, path); err != nil {
+			if err := fsutil.WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
 				return nil, err
 			}
 			fmt.Printf("interrupted at t=%.0fs; snapshot written to %s (resume with -resume -checkpoint %s)\n",

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"pond"
 )
 
 // defaults mirrors the flag defaults main registers; each table case
@@ -123,7 +126,7 @@ func TestValidateFlags(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := defaults()
 			tc.mutate(&f)
-			names, err := validate(f)
+			names, err := validate(&f)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -140,6 +143,49 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestSpecFlagsMatchGroupedOpts parses the -arrival and -inject spec
+// strings through validate and runs the result next to the same
+// configuration written as grouped options: the CLI's spec-string form
+// and the Go API must be indistinguishable, down to the event-log hash.
+func TestSpecFlagsMatchGroupedOpts(t *testing.T) {
+	f := defaults()
+	f.topologies = "sharded"
+	f.arrival = "poisson:rate=0.1:life=150"
+	f.inject = "emc-fail@t=150:emc=1"
+	f.opts.Cluster = pond.ClusterOpts{Hosts: 4, EMCs: 4, PoolGB: 64, Cells: 2, DurationSec: 300}
+	f.opts.Model.Disabled = true
+	if _, err := validate(&f); err != nil {
+		t.Fatal(err)
+	}
+	f.opts.Cluster.Topology = "sharded"
+
+	inj, err := pond.ParseInjections("emc-fail@t=150:emc=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped := pond.FleetOpts{
+		Cluster:    pond.ClusterOpts{Topology: "sharded", Hosts: 4, EMCs: 4, PoolGB: 64, Cells: 2, DurationSec: 300},
+		Arrivals:   pond.ArrivalOpts{Process: "poisson", RatePerSec: 0.1, MeanLifetimeSec: 150},
+		Model:      pond.ModelOpts{Disabled: true},
+		Injections: inj,
+	}
+	if f.opts.Arrivals != grouped.Arrivals {
+		t.Fatalf("-arrival parsed to %+v, want %+v", f.opts.Arrivals, grouped.Arrivals)
+	}
+	ctx := context.Background()
+	fromFlags, err := pond.RunFleet(ctx, f.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromGrouped, err := pond.RunFleet(ctx, grouped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromFlags.LogSHA256 != fromGrouped.LogSHA256 {
+		t.Fatalf("spec-string and grouped configs diverge: %s vs %s", fromFlags.LogSHA256, fromGrouped.LogSHA256)
 	}
 }
 

@@ -31,10 +31,11 @@
 //
 // On SIGTERM or SIGINT the daemon parks every run at a safe point
 // (which closes attached event streams), drains in-flight requests,
-// and checkpoints each run's
-// reproduce-from-scratch configuration to -state; a fresh daemon
-// pointed at the same file re-runs them to the same byte-identical
-// reports. -check probes a running daemon's /healthz and exits 0/1 —
+// and checkpoints each run's configuration plus its simulator snapshot
+// (or, once finished, its report) to -state; a fresh daemon pointed at
+// the same file resumes them from their parked safe points to the same
+// byte-identical reports, and refuses a state file of any other
+// version. -check probes a running daemon's /healthz and exits 0/1 —
 // the Dockerfile HEALTHCHECK hook.
 package main
 

@@ -98,11 +98,7 @@ type FleetReport struct {
 // the options and seed, never on worker count. For an incrementally
 // driven run with live injections, use StartFleet.
 func RunFleet(ctx context.Context, opts FleetOpts) (*FleetReport, error) {
-	fo, err := opts.fleetOptions()
-	if err != nil {
-		return nil, err
-	}
-	rep, err := fleet.Run(ctx, fo)
+	rep, err := fleet.Run(ctx, opts.fleetOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -27,21 +27,13 @@ type FleetRun struct {
 }
 
 // StartFleet builds a paused fleet run at t=0. The options pass through
-// the same shim resolution, normalization, and validation as RunFleet.
+// the same normalization and validation as RunFleet.
 func StartFleet(ctx context.Context, opts FleetOpts) (*FleetRun, error) {
-	resolved, err := opts.resolved()
+	r, err := fleet.NewRunner(ctx, opts.fleetOptions())
 	if err != nil {
 		return nil, err
 	}
-	fo, err := resolved.fleetOptions()
-	if err != nil {
-		return nil, err
-	}
-	r, err := fleet.NewRunner(ctx, fo)
-	if err != nil {
-		return nil, err
-	}
-	return &FleetRun{r: r, opts: resolved}, nil
+	return &FleetRun{r: r, opts: opts}, nil
 }
 
 // Advance runs the simulation forward to simulated time t (clamped to
@@ -70,8 +62,8 @@ func (fr *FleetRun) Now() float64 { return fr.r.Now() }
 // Done reports whether the run has reached its horizon.
 func (fr *FleetRun) Done() bool { return fr.r.Done() }
 
-// Config returns the resolved grouped configuration with every live
-// injection appended — the batch FleetOpts that reproduces this run's
+// Config returns the grouped configuration the run started with, every
+// live injection appended — the batch FleetOpts that reproduces this run's
 // event log from scratch. It is the checkpoint payload pondserve writes
 // on SIGTERM.
 func (fr *FleetRun) Config() FleetOpts { return fr.opts }

@@ -2,7 +2,6 @@ package pond
 
 import (
 	"encoding/json"
-	"strings"
 
 	"pond/internal/fleet"
 )
@@ -75,15 +74,4 @@ func (in *Injection) UnmarshalJSON(data []byte) error {
 	}
 	in.in = parsed
 	return nil
-}
-
-// specsOf renders a list as its comma-separated spec form — the
-// comparable canonical string the deprecated Inject field is matched
-// against.
-func specsOf(ins []Injection) string {
-	specs := make([]string, len(ins))
-	for i := range ins {
-		specs[i] = ins[i].String()
-	}
-	return strings.Join(specs, ",")
 }

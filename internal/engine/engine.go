@@ -6,12 +6,13 @@
 // output of a run is byte-identical regardless of worker count or OS
 // scheduling.
 //
-// Determinism contract: each job receives its own RNG whose seed is
-// derived as fnv1a(rootSeed, jobIndex) (see stats.ShardSeed). Seeding
-// depends only on the job's position in the input slice — never on which
-// worker runs it or when — and results are returned indexed by that same
-// position. A job must not share mutable state with other jobs; anything
-// it returns is merged by the caller in deterministic input order.
+// Determinism contract: each item receives its own RNG whose seed is
+// derived as fnv1a(rootSeed, itemIndex) (see stats.ShardSeed). Seeding
+// depends only on the item's position in the input slice — never on
+// which worker runs it or when — and results are returned indexed by that
+// same position. The work for one item must not share mutable state with
+// other items; anything it returns is merged by the caller in
+// deterministic input order.
 package engine
 
 import (
@@ -24,20 +25,11 @@ import (
 	"pond/internal/stats"
 )
 
-// Job is one unit of deterministic work.
-type Job struct {
-	// Name labels the job in errors.
-	Name string
-	// Run computes the job's result. The RNG is exclusively the job's
-	// own, seeded from the run's root seed and the job's index.
-	Run func(rng *stats.Rand) (any, error)
-}
-
 // Options configures a run.
 type Options struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// Seed is the root seed every job's stream derives from.
+	// Seed is the root seed every item's stream derives from.
 	Seed int64
 }
 
@@ -52,45 +44,46 @@ func (o Options) workers() int {
 // SeedFor returns the seed of shard i under root: fnv1a(root, i).
 func SeedFor(root int64, shard int) int64 { return stats.ShardSeed(root, shard) }
 
-// Run executes the jobs across the worker pool and returns their results
-// in job order. Errors from individual jobs are joined in job order; a
-// failed job leaves a nil slot in the result slice. Run stops launching
-// new jobs once ctx is cancelled and reports ctx.Err() joined with any
-// job errors collected so far.
-func Run(ctx context.Context, jobs []Job, opts Options) ([]any, error) {
-	n := len(jobs)
-	results := make([]any, n)
+// Map fans fn out over items across the worker pool and returns the
+// per-item results in input order: one item per cluster (or fold, sweep
+// cell, fleet cell), one deterministic RNG per item. Errors from
+// individual items are joined in item order; a failed item keeps
+// whatever result fn returned alongside its error. Map stops launching
+// new items once ctx is cancelled and reports ctx.Err() joined with any
+// item errors collected so far.
+func Map[T, R any](ctx context.Context, items []T, opts Options, fn func(i int, item T, rng *stats.Rand) (R, error)) ([]R, error) {
+	n := len(items)
+	out := make([]R, n)
 	if n == 0 {
-		return results, ctx.Err()
+		return out, ctx.Err()
 	}
-	errs := make([]error, n)
-	workers := opts.workers()
-	if workers > n {
-		workers = n
-	}
+	workers := min(opts.workers(), n)
 
 	if workers <= 1 {
-		// Serial fast path: same seeds, same merge order, no goroutines.
-		for i, job := range jobs {
+		// Serial fast path: same seeds, same merge order, no goroutines,
+		// and no error bookkeeping unless an item fails.
+		var errs []error
+		for i := range items {
 			if err := ctx.Err(); err != nil {
-				return results, err
+				return out, errors.Join(append(errs, err)...)
 			}
-			results[i], errs[i] = job.Run(stats.NewRand(SeedFor(opts.Seed, i)))
-			if errs[i] != nil {
-				errs[i] = wrapJobErr(job, errs[i])
+			var err error
+			if out[i], err = fn(i, items[i], stats.NewRand(SeedFor(opts.Seed, i))); err != nil {
+				errs = append(errs, err)
 			}
 		}
-		return results, errors.Join(errs...)
+		return out, errors.Join(errs...)
 	}
 
-	// Work-stealing pool: jobs are sharded round-robin across per-worker
+	// Work-stealing pool: items are sharded round-robin across per-worker
 	// deques. A worker drains its own deque from the back (LIFO: cache-warm
 	// continuation of its shard) and steals from other deques at the front
-	// (FIFO: the victim keeps its most recently pushed work). The job set
+	// (FIFO: the victim keeps its most recently pushed work). The item set
 	// is static, so a pass over every deque finding nothing means the
 	// worker is done.
+	errs := make([]error, n)
 	deques := make([]deque, workers)
-	for i := range jobs {
+	for i := range items {
 		w := i % workers
 		deques[w].jobs = append(deques[w].jobs, i)
 	}
@@ -115,32 +108,19 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]any, error) {
 						return
 					}
 				}
-				job := jobs[idx]
-				res, err := job.Run(stats.NewRand(SeedFor(opts.Seed, idx)))
-				results[idx] = res
-				if err != nil {
-					errs[idx] = wrapJobErr(job, err)
-				}
+				out[idx], errs[idx] = fn(idx, items[idx], stats.NewRand(SeedFor(opts.Seed, idx)))
 			}
 		}(w)
 	}
 	wg.Wait()
 	joined := errors.Join(errs...)
 	if cancelled.Load() {
-		return results, errors.Join(ctx.Err(), joined)
+		return out, errors.Join(ctx.Err(), joined)
 	}
-	return results, joined
+	return out, joined
 }
 
-// wrapJobErr attaches the job name to its error.
-func wrapJobErr(job Job, err error) error {
-	if job.Name == "" {
-		return err
-	}
-	return errors.New(job.Name + ": " + err.Error())
-}
-
-// deque is a mutex-guarded double-ended work queue of job indexes.
+// deque is a mutex-guarded double-ended work queue of item indexes.
 type deque struct {
 	mu   sync.Mutex
 	jobs []int
@@ -166,26 +146,4 @@ func (d *deque) popFront() (int, bool) {
 	idx := d.jobs[0]
 	d.jobs = d.jobs[1:]
 	return idx, true
-}
-
-// Map fans fn out over items and returns the per-item results in input
-// order. It is the typed convenience wrapper the figure pipelines use:
-// one item per cluster (or fold, or sweep cell), one deterministic RNG
-// per item.
-func Map[T, R any](ctx context.Context, items []T, opts Options, fn func(i int, item T, rng *stats.Rand) (R, error)) ([]R, error) {
-	jobs := make([]Job, len(items))
-	for i := range items {
-		i := i
-		jobs[i] = Job{Run: func(rng *stats.Rand) (any, error) {
-			return fn(i, items[i], rng)
-		}}
-	}
-	raw, err := Run(ctx, jobs, opts)
-	out := make([]R, len(items))
-	for i, r := range raw {
-		if r != nil {
-			out[i] = r.(R)
-		}
-	}
-	return out, err
 }

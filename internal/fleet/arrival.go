@@ -118,17 +118,27 @@ func synthCustomers(n int, r *stats.Rand) []cluster.Customer {
 	return out
 }
 
-// expectedArrivals estimates the Poisson stream length (base process
-// plus surge extras, ~10% headroom) so the arrival slice is allocated
-// once. Only capacity — never content — depends on the estimate.
-func expectedArrivals(o Options) int {
+// MaxArrivalsPerCell bounds a cell's expected arrival count (see
+// expectedArrivals); the busiest scenario in this repository expects
+// about 26 thousand. Larger rate-times-horizon products are
+// configuration typos, and the arrival stream is presized from the
+// estimate, so an unbounded one would try to allocate whatever number
+// the options imply — rejected by normalization, per the parsers'
+// no-runtime-surprise discipline.
+const MaxArrivalsPerCell = 1 << 20
+
+// expectedArrivals estimates a cell's Poisson stream length (base
+// process plus surge extras, ~10% headroom) so the arrival slice is
+// allocated once. Only capacity — never content — depends on the
+// estimate.
+func expectedArrivals(o Options) float64 {
 	n := o.Arrival.RatePerSec * o.DurationSec
 	for _, inj := range o.Injections {
 		if inj.Kind == InjectSurge && inj.Factor > 1 {
 			n += o.Arrival.RatePerSec * (inj.Factor - 1) * inj.DurSec
 		}
 	}
-	return int(n+n/10) + 16
+	return n + n/10 + 16
 }
 
 // catalogueCache avoids re-copying the 158-workload catalogue on every
@@ -299,7 +309,7 @@ func generateArrivals(o Options, cell int, seed int64) []cluster.VMRequest {
 			stats.NewRand(stats.HashWords(uint64(seed), driftForkLabel)))
 		// Presize for the expected stream (surge extras included below
 		// share the slice); capacity never affects the drawn contents.
-		vms = make([]cluster.VMRequest, 0, expectedArrivals(o))
+		vms = make([]cluster.VMRequest, 0, int(expectedArrivals(o)))
 		for t := rArr.Exponential(1 / o.Arrival.RatePerSec); t < o.DurationSec; t += rArr.Exponential(1 / o.Arrival.RatePerSec) {
 			pop := populationAt(t, driftTimes, epochs)
 			cust := pop[rArr.Intn(len(pop))]

@@ -43,7 +43,6 @@ import (
 	"pond/internal/core"
 	"pond/internal/cxl"
 	"pond/internal/emc"
-	"pond/internal/engine"
 	"pond/internal/host"
 	"pond/internal/mlops"
 	"pond/internal/mlops/fleetpipeline"
@@ -215,13 +214,23 @@ func normalize(o Options) (Options, error) {
 	if o.DurationSec <= 0 {
 		o.DurationSec = d.DurationSec
 	}
-	if o.Arrival.Kind == "" {
+	switch o.Arrival.Kind {
+	case "":
 		o.Arrival.Kind = d.Arrival.Kind
+	case ArrivalPoisson, ArrivalTrace:
+	default:
+		return o, fmt.Errorf("fleet: unknown arrival model %q (want %s or %s)", o.Arrival.Kind, ArrivalPoisson, ArrivalTrace)
 	}
-	if o.Arrival.RatePerSec <= 0 {
+	if o.Arrival.RatePerSec < 0 || math.IsNaN(o.Arrival.RatePerSec) || math.IsInf(o.Arrival.RatePerSec, 0) {
+		return o, fmt.Errorf("fleet: arrival rate %g/s must be a finite number >= 0", o.Arrival.RatePerSec)
+	}
+	if o.Arrival.RatePerSec == 0 {
 		o.Arrival.RatePerSec = d.Arrival.RatePerSec
 	}
-	if o.Arrival.MeanLifetimeSec <= 0 {
+	if o.Arrival.MeanLifetimeSec < 0 || math.IsNaN(o.Arrival.MeanLifetimeSec) || math.IsInf(o.Arrival.MeanLifetimeSec, 0) {
+		return o, fmt.Errorf("fleet: mean VM lifetime %gs must be a finite number >= 0", o.Arrival.MeanLifetimeSec)
+	}
+	if o.Arrival.MeanLifetimeSec == 0 {
 		o.Arrival.MeanLifetimeSec = d.Arrival.MeanLifetimeSec
 	}
 	if o.PDM <= 0 {
@@ -313,6 +322,10 @@ func normalize(o Options) (Options, error) {
 		if err := ValidateInjection(in, o); err != nil {
 			return o, err
 		}
+	}
+	if n := expectedArrivals(o); !(n <= MaxArrivalsPerCell) { // rejects NaN too
+		return o, fmt.Errorf("fleet: arrival rate %g/s over the %gs horizon expects %.3g arrivals per cell, above the %d cap",
+			o.Arrival.RatePerSec, o.DurationSec, n, MaxArrivalsPerCell)
 	}
 	return o, nil
 }
@@ -532,45 +545,17 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Run executes the fleet simulation. Cells fan out across the engine
+// Run executes the fleet simulation to its horizon: a Runner built at
+// t=0 and finished in one call, so batch runs take the same path as
+// sliced, served, and restored ones. Cells fan out across the engine
 // worker pool; the report — including the full event log and its hash —
 // is byte-identical for every worker count.
 func Run(ctx context.Context, o Options) (*Report, error) {
-	o, err := normalize(o)
+	r, err := NewRunner(ctx, o)
 	if err != nil {
 		return nil, err
 	}
-	insens, threshold := trainInsens(o)
-
-	// Barriered configurations (fleet-scoped retraining, elastic pool)
-	// go through the Runner — the one implementation of the barrier
-	// loop, shared with pondserve's live runs. Everything else takes the
-	// one-shot fast path: each cell is built, run to the horizon, and
-	// finished inside a single engine job with no intermediate state.
-	if (o.ModelScope == ScopeFleet && o.RetrainEverySec > 0) || o.ElasticPool {
-		r, rerr := newRunner(ctx, o, insens, threshold)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return r.Finish(ctx)
-	}
-
-	results, err := engine.Map(ctx, cellIndices(o.Cells),
-		engine.Options{Workers: o.Workers, Seed: o.Seed},
-		func(i int, _ int, rng *stats.Rand) (CellResult, error) {
-			sim, serr := newCellSim(i, o, insens, threshold, rng)
-			if serr != nil {
-				return CellResult{Cell: i}, serr
-			}
-			if serr := sim.runUntil(o.DurationSec, true); serr != nil {
-				return sim.res, serr
-			}
-			return sim.finish()
-		})
-	if err != nil {
-		return nil, err
-	}
-	return assembleReport(o, results, "", "", 0, nil)
+	return r.Finish(ctx)
 }
 
 // trainInsens trains the shared insensitivity model once per run;
@@ -657,9 +642,8 @@ func assembleReport(o Options, results []CellResult, fleetLog, fleetSHA string, 
 		rep.Events += c.Compacted
 	}
 	// The manifest hashes each stream separately: one line per cell in
-	// cell order, then the fleet stream. Cells finished without a running
-	// digest fall back to hashing their full log here (the one-shot path
-	// and synthetic test results).
+	// cell order, then the fleet stream. Results without a stream hash
+	// (synthetic test results) fall back to hashing their full log here.
 	var manifest strings.Builder
 	for _, c := range results {
 		sha := c.LogSHA
@@ -931,6 +915,9 @@ type cellSim struct {
 	seq     int
 	running map[cluster.VMID]*runningVM
 	log     strings.Builder
+	// drainMark is the byte offset into log that Runner.DrainEvents has
+	// consumed up to.
+	drainMark int
 	// logDigest is the SHA-256 midstate of the log prefix the Runner
 	// compacted away (nil until compaction first fires, so the default
 	// path allocates nothing); compacted counts the folded lines.
@@ -1210,12 +1197,11 @@ func (c *cellSim) regenerateArrivals(now float64) {
 	}
 }
 
-// compactLog folds the drained log prefix (the first mark bytes) into
-// the cell's stream digest and keeps only the tail, returning the
-// tail-relative drain mark. Called by the Runner under SetCompactDrained.
-func (c *cellSim) compactLog(mark int) int {
-	c.logDigest, c.compacted, mark = compactStream(&c.log, c.logDigest, c.compacted, mark)
-	return mark
+// compactLog folds the drained log prefix (the first drainMark bytes)
+// into the cell's stream digest and keeps only the tail. Called by the
+// Runner under SetCompactDrained.
+func (c *cellSim) compactLog() {
+	c.logDigest, c.compacted, c.drainMark = compactStream(&c.log, c.logDigest, c.compacted, c.drainMark)
 }
 
 // logf renders one cold-path log line through fmt. Hot-path events

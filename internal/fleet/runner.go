@@ -16,14 +16,14 @@ import (
 	"pond/internal/stats"
 )
 
-// Runner is the incremental form of Run: the same fleet simulation,
-// advanced one bounded time slice at a time under caller control. Every
-// return from Advance is a safe point — all cells sit at the same
-// simulated time with no event mid-flight — where the caller may drain
-// the event log, snapshot progress, or add an injection before
-// resuming. pondserve drives its live runs through a Runner; Run itself
-// drives barriered configurations through one, so there is a single
-// implementation of the barrier loop.
+// Runner is the one execution path of the fleet simulation, advanced
+// one bounded time slice at a time under caller control. Every return
+// from Advance is a safe point — all cells sit at the same simulated
+// time with no event mid-flight — where the caller may drain the event
+// log, snapshot progress, or add an injection before resuming. Batch
+// runs (Run), pondserve's live runs, and restored snapshots all drive a
+// Runner, so there is a single implementation of the cell loop and the
+// barrier schedule.
 //
 // Determinism contract: a run advanced through any sequence of Advance
 // slices, with any live injections added along the way, produces an
@@ -34,10 +34,8 @@ import (
 //
 // A Runner is not safe for concurrent use; callers serialize access.
 type Runner struct {
-	o         Options
-	insens    predict.Insensitivity
-	threshold float64
-	eopts     engine.Options
+	o     Options
+	eopts engine.Options
 
 	sims        []*cellSim
 	fleetScoped bool
@@ -48,9 +46,8 @@ type Runner struct {
 	now      float64
 	done     bool
 	fleetLog strings.Builder
-	// marks and fleetMark are the per-stream byte offsets DrainEvents
-	// has consumed up to.
-	marks     []int
+	// fleetMark is the byte offset into fleetLog DrainEvents has
+	// consumed up to (each cell keeps its own drainMark).
 	fleetMark int
 
 	// compact, when set, folds drained log prefixes into per-stream
@@ -93,17 +90,16 @@ func NewRunner(ctx context.Context, o Options) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	insens, threshold := trainInsens(o)
-	return newRunner(ctx, o, insens, threshold)
+	return newRunner(ctx, o)
 }
 
-// newRunner wires the cells (and the fleet pipeline, under fleet scope)
-// for already-normalized options.
-func newRunner(ctx context.Context, o Options, insens predict.Insensitivity, threshold float64) (*Runner, error) {
+// newRunner trains the shared insensitivity model and wires the cells
+// (and the fleet pipeline, under fleet scope) for already-normalized
+// options.
+func newRunner(ctx context.Context, o Options) (*Runner, error) {
+	insens, threshold := trainInsens(o)
 	r := &Runner{
 		o:           o,
-		insens:      insens,
-		threshold:   threshold,
 		eopts:       engine.Options{Workers: o.Workers, Seed: o.Seed},
 		fleetScoped: o.ModelScope == ScopeFleet && o.RetrainEverySec > 0,
 	}
@@ -115,7 +111,6 @@ func newRunner(ctx context.Context, o Options, insens predict.Insensitivity, thr
 		return nil, err
 	}
 	r.sims = sims
-	r.marks = make([]int, len(sims))
 	if r.fleetScoped {
 		r.fp = fleetpipeline.NewManager(fleetpipeline.Config{
 			Cells:          o.Cells,
@@ -410,9 +405,9 @@ func (r *Runner) SetCompactDrained(on bool) { r.compact = on }
 func (r *Runner) DrainEvents() []LogEvent {
 	var out []LogEvent
 	for i, s := range r.sims {
-		out, r.marks[i] = drainLines(out, i, s.log.String(), r.marks[i])
+		out, s.drainMark = drainLines(out, i, s.log.String(), s.drainMark)
 		if r.compact {
-			r.marks[i] = s.compactLog(r.marks[i])
+			s.compactLog()
 		}
 	}
 	out, r.fleetMark = drainLines(out, -1, r.fleetLog.String(), r.fleetMark)

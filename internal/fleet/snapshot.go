@@ -190,16 +190,15 @@ func (r *Runner) Snapshot() (*Snapshot, error) {
 	}
 	s.Cells = make([]CellState, len(r.sims))
 	for i, sim := range r.sims {
-		if s.Cells[i], err = sim.state(r.marks[i]); err != nil {
+		if s.Cells[i], err = sim.state(); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// state captures one cell's dynamic state; mark is the Runner's drain
-// offset into this cell's log.
-func (c *cellSim) state(mark int) (CellState, error) {
+// state captures one cell's dynamic state.
+func (c *cellSim) state() (CellState, error) {
 	cs := CellState{
 		Cell:     c.cell,
 		ArrSeed:  c.arrSeed,
@@ -232,7 +231,7 @@ func (c *cellSim) state(mark int) (CellState, error) {
 		Result: c.res,
 	}
 	var err error
-	if cs.Log, err = logStream(c.log.String(), mark, c.logDigest, c.compacted); err != nil {
+	if cs.Log, err = logStream(c.log.String(), c.drainMark, c.logDigest, c.compacted); err != nil {
 		return cs, err
 	}
 	if c.ringLen > 0 {
@@ -296,8 +295,7 @@ func RestoreRunner(ctx context.Context, s *Snapshot) (*Runner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: snapshot options: %w", err)
 	}
-	insens, threshold := trainInsens(o)
-	r, err := newRunner(ctx, o, insens, threshold)
+	r, err := newRunner(ctx, o)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +328,6 @@ func RestoreRunner(ctx context.Context, s *Snapshot) (*Runner, error) {
 		if err := r.sims[i].restoreState(s.Cells[i], r.fp); err != nil {
 			return nil, err
 		}
-		r.marks[i] = s.Cells[i].Log.Mark
 	}
 	return r, nil
 }
@@ -368,6 +365,7 @@ func (c *cellSim) restoreState(cs CellState, fp *fleetpipeline.Manager) error {
 		return fmt.Errorf("cell %d: %w", c.cell, err)
 	}
 	c.compacted = cs.Log.Compacted
+	c.drainMark = cs.Log.Mark
 
 	if len(cs.EMCs) != len(c.devices) {
 		return fmt.Errorf("cell %d: snapshot has %d EMCs, options build %d", c.cell, len(cs.EMCs), len(c.devices))

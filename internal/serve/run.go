@@ -21,7 +21,7 @@ import (
 // resumed, and ends done — or failed if the simulation errors. A daemon
 // shutdown parks every unfinished run at its current safe point: parked
 // is terminal for this process (streams close, injections refuse), and
-// the checkpointed config re-runs the simulation after restart.
+// the checkpointed snapshot resumes the simulation after restart.
 const (
 	StateRunning = "running"
 	StateHolding = "holding"
@@ -50,7 +50,7 @@ type Run struct {
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast on new events or a state change
 
-	// fr is nil for a terminal (done/failed) run restored from a v2
+	// fr is nil for a terminal (done/failed) run restored from a
 	// checkpoint: its config, progress, and report are served from the
 	// persisted copies instead of a live simulation.
 	fr       *pond.FleetRun

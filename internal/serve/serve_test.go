@@ -711,49 +711,81 @@ func mustGet(t *testing.T, url string) *http.Response {
 	return resp
 }
 
-// TestCheckpointV1LegacyRestore hand-writes a version-1 (unversioned,
-// config-only) state file and checks the daemon still restores it by
-// re-running the configuration, reproducing the batch report.
-func TestCheckpointV1LegacyRestore(t *testing.T) {
-	statePath := filepath.Join(t.TempDir(), "checkpoint.json")
+// TestCheckpointRefusesOtherVersions hand-writes state files the daemon
+// must not guess at — an unversioned (version-1, config-only) file, a
+// future version, and a current-version file whose mid-flight run lost
+// its simulator snapshot — and checks serve.New refuses each with an
+// error naming what it found.
+func TestCheckpointRefusesOtherVersions(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-
-	var opts pond.FleetOpts
-	data, _ := json.Marshal(tinyOpts())
-	if err := json.Unmarshal(data, &opts); err != nil {
-		t.Fatal(err)
-	}
-	v1 := map[string]any{
-		"next_id": 1,
-		"runs":    []map[string]any{{"id": "r1", "opts": json.RawMessage(data)}},
-	}
-	fileData, err := json.Marshal(v1)
+	opts, err := json.Marshal(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(statePath, fileData, 0o644); err != nil {
-		t.Fatal(err)
+	run := map[string]any{"id": "r1", "opts": json.RawMessage(opts)}
+	cases := []struct {
+		name string
+		file map[string]any
+		want string
+	}{
+		{"unversioned", map[string]any{"next_id": 1, "runs": []any{run}}, "unversioned (version 1)"},
+		{"future", map[string]any{"version": 3, "next_id": 1, "runs": []any{run}}, "version 3"},
+		{"no-snapshot", map[string]any{"version": checkpointVersion, "next_id": 1,
+			"runs": []any{map[string]any{"id": "r1", "opts": json.RawMessage(opts), "state": StateRunning}}},
+			"no simulator snapshot"},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			statePath := filepath.Join(t.TempDir(), "checkpoint.json")
+			data, err := json.Marshal(tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(statePath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(Config{StatePath: statePath, Log: logger})
+			if err == nil {
+				s.Shutdown()
+				t.Fatalf("state file restored; want an error mentioning %q", tc.want)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
 
-	want, err := pond.RunFleet(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
+// TestStartRejectsBadArrivals posts arrival configurations the grouped
+// options cannot run — an unknown process, negative or overflowing
+// rates, a negative lifetime — and expects a 400 for each, including at
+// workers > 1 where an unchecked rate used to panic on an engine
+// goroutine. The daemon must still answer /healthz afterwards.
+func TestStartRejectsBadArrivals(t *testing.T) {
+	_, ts := newTestServer(t)
+	bodies := []string{
+		`{"opts": {"arrival": {"process": "bogus"}}}`,
+		`{"opts": {"arrival": {"rate_per_sec": -1}}}`,
+		`{"opts": {"arrival": {"mean_lifetime_sec": -1}}}`,
+		`{"opts": {"arrival": {"rate_per_sec": 1e300}}}`,
+		`{"opts": {"arrival": {"rate_per_sec": 1e300}, "engine": {"workers": 4}}}`,
 	}
-
-	s, err := New(Config{StatePath: statePath, Log: logger})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ts.Close()
-		if err := s.Shutdown(); err != nil {
-			t.Errorf("shutdown: %v", err)
+	for _, body := range bodies {
+		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	done := waitState(t, ts.URL, "r1", StateDone)
-	if done.Report.LogSHA256 != want.LogSHA256 {
-		t.Fatalf("v1-restored run sha %s != batch sha %s", done.Report.LogSHA256, want.LogSHA256)
+		var e apiError
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || e.Error == "" {
+			t.Fatalf("%s: status %d error %q (decode %v), want 400 with an error", body, resp.StatusCode, e.Error, derr)
+		}
+	}
+	resp := mustGet(t, ts.URL+"/healthz")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz status %d after the rejected bodies", resp.StatusCode)
 	}
 }
 

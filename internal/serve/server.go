@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"pond"
+	"pond/internal/fsutil"
 	"pond/internal/obs"
 )
 
@@ -67,9 +68,11 @@ type Server struct {
 }
 
 // New builds a Server, restoring any runs checkpointed at
-// cfg.StatePath: each restored run re-executes from its checkpointed
-// configuration, which the determinism contract guarantees reproduces
-// the original event log and report byte for byte.
+// cfg.StatePath: mid-flight runs resume from their simulator snapshots,
+// which the determinism contract guarantees continue the original event
+// log byte for byte, and terminal runs are served from their persisted
+// reports. A state file in any format but the current version is an
+// error.
 func New(cfg Config) (*Server, error) {
 	if cfg.Log == nil {
 		cfg.Log = slog.New(slog.NewJSONHandler(os.Stderr, nil))
@@ -493,12 +496,11 @@ func (s *Server) evict() {
 	s.mu.Unlock()
 }
 
-// checkpointVersion is the current state-file format. Version 2 embeds
-// each run's full simulator snapshot, replay buffer, and remaining hold
-// points, so a restart resumes runs from their parked safe points.
-// Version-1 files (no version field) carried only the batch
-// configuration; they still restore, by re-running the configuration
-// from t=0 under the determinism contract.
+// checkpointVersion is the state-file format, the only one restore
+// reads. Version 2 embeds each run's full simulator snapshot, replay
+// buffer, and remaining hold points, so a restart resumes runs from
+// their parked safe points. Version-1 files (no version field) carried
+// only the batch configuration and are refused.
 const checkpointVersion = 2
 
 // checkpointFile is the persisted daemon state.
@@ -510,11 +512,11 @@ type checkpointFile struct {
 
 // checkpointRun is one run's persisted state: the
 // reproduce-from-scratch configuration (scheduled plus live injections,
-// already folded together by FleetRun.Config) plus, in v2, the state
-// needed to resume without re-simulation — the pre-park run state, the
-// remaining hold points, the sequenced event buffer (so ?from= streams
-// survive the restart), and either the simulator snapshot (mid-flight
-// runs) or the final report (terminal runs).
+// already folded together by FleetRun.Config) plus the state needed to
+// resume without re-simulation — the pre-park run state, the remaining
+// hold points, the sequenced event buffer (so ?from= streams survive
+// the restart), and either the simulator snapshot (mid-flight runs) or
+// the final report (terminal runs).
 type checkpointRun struct {
 	ID       string              `json:"id"`
 	Opts     pond.FleetOpts      `json:"opts"`
@@ -568,7 +570,7 @@ func (r *Run) checkpointState() (checkpointRun, error) {
 }
 
 // checkpoint writes the parked registry: every run's configuration plus
-// the v2 resume state — simulator snapshots for mid-flight runs, final
+// its resume state — simulator snapshots for mid-flight runs, final
 // reports for terminal ones.
 func (s *Server) checkpoint(path string) error {
 	t0 := time.Now()
@@ -591,11 +593,7 @@ func (s *Server) checkpoint(path string) error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := fsutil.WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
 	secs := time.Since(t0).Seconds()
@@ -607,10 +605,10 @@ func (s *Server) checkpoint(path string) error {
 }
 
 // restore rebuilds every checkpointed run under its original ID. A
-// missing checkpoint file is a fresh start, not an error. Runs with a
-// v2 snapshot resume from their parked safe point in O(state) time;
+// missing checkpoint file is a fresh start, not an error. Mid-flight
+// runs resume from their snapshot's parked safe point in O(state) time;
 // terminal runs are rebuilt from their persisted report without any
-// simulation; v1 config-only runs re-execute from t=0.
+// simulation.
 func (s *Server) restore(path string) error {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -628,9 +626,12 @@ func (s *Server) restore(path string) error {
 	if err := json.Unmarshal(data, &ck); err != nil {
 		return fmt.Errorf("corrupt checkpoint %s: %w", path, err)
 	}
-	if ck.Version != 0 && ck.Version != checkpointVersion {
-		return fmt.Errorf("checkpoint %s: version %d, this build reads versions 1 (unversioned) and %d",
-			path, ck.Version, checkpointVersion)
+	if ck.Version != checkpointVersion {
+		found := fmt.Sprintf("version %d", ck.Version)
+		if ck.Version == 0 {
+			found = "unversioned (version 1)"
+		}
+		return fmt.Errorf("checkpoint %s is %s; this build reads only version %d", path, found, checkpointVersion)
 	}
 	s.nextID = ck.NextID
 	for _, cr := range ck.Runs {
@@ -669,18 +670,10 @@ func (s *Server) restoreRun(cr checkpointRun) error {
 		s.log.Info("run restored", "id", cr.ID, "state", cr.State)
 		return nil
 	}
-	var fr *pond.FleetRun
-	var err error
-	if cr.Snapshot != nil {
-		fr, err = pond.RestoreFleet(s.ctx, cr.Snapshot)
-	} else {
-		// v1 config-only checkpoint: the snapshot is missing, so the only
-		// way back to the parked point is to re-run the configuration
-		// from t=0 — correct under the determinism contract, but paying
-		// the full re-simulation the v2 format exists to avoid.
-		s.log.Warn("v1 checkpoint has no snapshot; re-running from t=0", "id", cr.ID)
-		fr, err = pond.StartFleet(s.ctx, cr.Opts)
+	if cr.Snapshot == nil {
+		return fmt.Errorf("run in state %q has no simulator snapshot", cr.State)
 	}
+	fr, err := pond.RestoreFleet(s.ctx, cr.Snapshot)
 	if err != nil {
 		return err
 	}
