@@ -7,8 +7,11 @@ all: build vet test-short
 build:
 	$(GO) build ./...
 
+# go vet plus a formatting gate: any file gofmt would rewrite fails.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # Full suite: paper-scale fidelity for every figure (slow; the experiment
 # pipelines use every core through the parallel engine).

@@ -67,14 +67,14 @@ type Result struct {
 // big enough to exercise arrivals, departures, and every injection kind.
 func smokeOptions() fleet.Options {
 	o := fleet.DefaultOptions()
-	o.Cells = 2
-	o.Hosts = 4
-	o.EMCs = 4
-	o.PoolGB = 64
-	o.DurationSec = 600
-	o.Arrival = fleet.ArrivalModel{Kind: fleet.ArrivalPoisson, RatePerSec: 0.2, MeanLifetimeSec: 200}
-	o.Predictions = false // gate the event loop, not model training
-	o.Workers = 1         // single worker: CI runners have unpredictable core counts
+	o.Cluster.Cells = 2
+	o.Cluster.Hosts = 4
+	o.Cluster.EMCs = 4
+	o.Cluster.PoolGB = 64
+	o.Cluster.DurationSec = 600
+	o.Arrivals = fleet.ArrivalOpts{Process: fleet.ArrivalPoisson, RatePerSec: 0.2, MeanLifetimeSec: 200}
+	o.Model.Disabled = true // gate the event loop, not model training
+	o.Engine.Workers = 1    // single worker: CI runners have unpredictable core counts
 	inj, err := fleet.ParseInjections("surge@t=100:dur=100:x=3,emc-fail@t=300,host-drain@t=400:host=1")
 	if err != nil {
 		panic(err)

@@ -149,11 +149,9 @@ func validate(f *flags) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	arr, err := fleet.ParseArrival(f.arrival)
-	if err != nil {
+	if f.opts.Arrivals, err = fleet.ParseArrival(f.arrival); err != nil {
 		return nil, err
 	}
-	f.opts.Arrivals = pond.ArrivalOpts{Process: arr.Kind, RatePerSec: arr.RatePerSec, MeanLifetimeSec: arr.MeanLifetimeSec}
 	if f.opts.Injections, err = pond.ParseInjections(f.inject); err != nil {
 		return nil, err
 	}

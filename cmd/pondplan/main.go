@@ -101,17 +101,18 @@ func main() {
 
 	for _, name := range names {
 		rep, err := fleet.Run(context.Background(), fleet.Options{
-			Topology:    name,
-			PodDegree:   f.degree,
-			Hosts:       f.hosts,
-			EMCs:        f.emcs,
-			PoolGB:      f.poolGB,
-			Cells:       f.cells,
-			DurationSec: f.duration,
-			Arrival:     arrival,
-			Predictions: !f.noPredict,
-			Workers:     f.workers,
-			Seed:        f.seed,
+			Cluster: fleet.ClusterOpts{
+				Topology:    name,
+				PodDegree:   f.degree,
+				Hosts:       f.hosts,
+				EMCs:        f.emcs,
+				PoolGB:      f.poolGB,
+				Cells:       f.cells,
+				DurationSec: f.duration,
+			},
+			Arrivals: arrival,
+			Model:    fleet.ModelOpts{Disabled: f.noPredict},
+			Engine:   fleet.EngineOpts{Workers: f.workers, Seed: f.seed},
 		})
 		if err != nil {
 			cliutil.Fatal("pondplan", err)
@@ -143,7 +144,7 @@ func renderPlan(name string, f flags, rep *fleet.Report) string {
 	})
 	out := fmt.Sprintf("telemetry: arrival=%s duration=%gs placed=%d rejected=%d "+
 		"peak-pool-used=%.0fGB stranded=%.1fGB untouched-p50=%.2f untouched-p90=%.2f\n",
-		rep.Options.Arrival, f.duration, rep.Placed, rep.Rejected,
+		rep.Options.Arrivals, f.duration, rep.Placed, rep.Rejected,
 		rep.PeakPoolUsedGB, rep.AvgStrandedGB, untouched50, untouched90)
 	return out + plan.Table()
 }

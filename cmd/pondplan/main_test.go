@@ -85,15 +85,16 @@ func TestRenderPlanProducesWaterfall(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := fleet.Run(context.Background(), fleet.Options{
-		Topology:    "flat",
-		Hosts:       f.hosts,
-		EMCs:        f.emcs,
-		PoolGB:      f.poolGB,
-		Cells:       f.cells,
-		DurationSec: f.duration,
-		Arrival:     arrival,
-		Predictions: true,
-		Seed:        f.seed,
+		Cluster: fleet.ClusterOpts{
+			Topology:    "flat",
+			Hosts:       f.hosts,
+			EMCs:        f.emcs,
+			PoolGB:      f.poolGB,
+			Cells:       f.cells,
+			DurationSec: f.duration,
+		},
+		Arrivals: arrival,
+		Engine:   fleet.EngineOpts{Seed: f.seed},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -98,7 +98,7 @@ type FleetReport struct {
 // the options and seed, never on worker count. For an incrementally
 // driven run with live injections, use StartFleet.
 func RunFleet(ctx context.Context, opts FleetOpts) (*FleetReport, error) {
-	rep, err := fleet.Run(ctx, opts.fleetOptions())
+	rep, err := fleet.Run(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +121,7 @@ func newFleetReport(rep *fleet.Report) *FleetReport {
 		plans = append(plans, fmt.Sprintf("[c%d t=%.3f] %s", e.Cell, e.AtSec, e))
 	}
 	return &FleetReport{
-		Topology:         rep.Options.Topology,
+		Topology:         rep.Options.Cluster.Topology,
 		TopologyDesc:     rep.TopologyDesc,
 		Arrivals:         rep.Arrivals,
 		Placed:           rep.Placed,
@@ -139,7 +139,7 @@ func newFleetReport(rep *fleet.Report) *FleetReport {
 		DRAMSavedGB:      rep.DRAMSavedGB,
 		Fallbacks:        rep.Fallbacks,
 		PlanHistory:      plans,
-		ModelScope:       rep.Options.ModelScope,
+		ModelScope:       rep.Options.Model.Scope,
 		Retrains:         rep.Retrains,
 		Promotions:       rep.Promotions,
 		Demotions:        rep.Demotions,

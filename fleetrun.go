@@ -29,7 +29,7 @@ type FleetRun struct {
 // StartFleet builds a paused fleet run at t=0. The options pass through
 // the same normalization and validation as RunFleet.
 func StartFleet(ctx context.Context, opts FleetOpts) (*FleetRun, error) {
-	r, err := fleet.NewRunner(ctx, opts.fleetOptions())
+	r, err := fleet.NewRunner(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +47,7 @@ func (fr *FleetRun) Advance(ctx context.Context, t float64) error {
 // after the current simulated time and passes the same validation as a
 // batch-scheduled injection; a completed run refuses it.
 func (fr *FleetRun) Inject(in Injection) error {
-	if err := fr.r.AddInjection(in.in); err != nil {
+	if err := fr.r.AddInjection(in); err != nil {
 		return err
 	}
 	n := len(fr.opts.Injections)
@@ -81,82 +81,21 @@ func (fr *FleetRun) Finish(ctx context.Context) (*FleetReport, error) {
 
 // FleetProgress is a point-in-time snapshot of a run's aggregate
 // counters, taken at a safe point.
-type FleetProgress struct {
-	// NowSec is the simulated time the run is paused at; DurationSec the
-	// horizon; Done whether the horizon was reached.
-	NowSec      float64 `json:"now_sec"`
-	DurationSec float64 `json:"duration_sec"`
-	Done        bool    `json:"done"`
-
-	// Arrivals, Placed, Rejected, and Departed count VM lifecycle events
-	// aggregated across cells so far.
-	Arrivals int `json:"arrivals"`
-	Placed   int `json:"placed"`
-	Rejected int `json:"rejected"`
-	Departed int `json:"departed"`
-	// Injections counts scheduled plus live-added injections.
-	Injections int `json:"injections"`
-
-	// LiveVMs counts placed, not-yet-departed VMs across cells; PoolGB is
-	// the summed active pool capacity and PoolUsedGB the summed pool draw
-	// at the last accounting point.
-	LiveVMs    int     `json:"live_vms"`
-	PoolGB     int     `json:"pool_gb"`
-	PoolUsedGB float64 `json:"pool_used_gb"`
-	// Fallbacks counts pool-exhaustion DRAM fallbacks; QoSViolations
-	// counts latency-band violations observed so far.
-	Fallbacks     int `json:"fallbacks"`
-	QoSViolations int `json:"qos_violations"`
-	// Retrains and Rollbacks count model-lifecycle actions (cell scope
-	// sums cells; fleet scope reports the central pipeline's counters).
-	Retrains  int `json:"retrains"`
-	Rollbacks int `json:"rollbacks"`
-}
+type FleetProgress = fleet.Progress
 
 // Progress snapshots the run's aggregate lifecycle counters.
-func (fr *FleetRun) Progress() FleetProgress {
-	p := fr.r.Progress()
-	return FleetProgress{
-		NowSec:      p.NowSec,
-		DurationSec: p.DurationSec,
-		Done:        p.Done,
-		Arrivals:    p.Arrivals,
-		Placed:      p.Placed,
-		Rejected:    p.Rejected,
-		Departed:    p.Departed,
-		Injections:  p.Injections,
-
-		LiveVMs:       p.LiveVMs,
-		PoolGB:        p.PoolGB,
-		PoolUsedGB:    p.PoolUsedGB,
-		Fallbacks:     p.Fallbacks,
-		QoSViolations: p.QoSViolations,
-		Retrains:      p.Retrains,
-		Rollbacks:     p.Rollbacks,
-	}
-}
+func (fr *FleetRun) Progress() FleetProgress { return fr.r.Progress() }
 
 // FleetLogEvent is one complete event-log line drained from a run's
-// streams; Cell is -1 for the fleet pipeline's barrier log. The
-// deterministic EventLog is the cell streams concatenated in cell order
-// followed by the fleet stream, each line newline-terminated — clients
-// regroup drained events by cell to reconstruct and hash it.
-type FleetLogEvent struct {
-	Cell int    `json:"cell"`
-	Line string `json:"line"`
-}
+// streams; Cell is -1 for the fleet pipeline's barrier log. Clients
+// regroup drained events by cell to reconstruct the deterministic
+// EventLog and hash it (see EventLogSHA256).
+type FleetLogEvent = fleet.LogEvent
 
 // DrainEvents returns the log lines appended since the previous drain:
 // cells in cell order, the fleet log last. Only complete lines are
 // returned, without their trailing newline.
-func (fr *FleetRun) DrainEvents() []FleetLogEvent {
-	evs := fr.r.DrainEvents()
-	out := make([]FleetLogEvent, len(evs))
-	for i, e := range evs {
-		out[i] = FleetLogEvent{Cell: e.Cell, Line: e.Line}
-	}
-	return out
-}
+func (fr *FleetRun) DrainEvents() []FleetLogEvent { return fr.r.DrainEvents() }
 
 // MetricsRow is one sampled point of a cell's sim-time metrics series;
 // see EngineOpts.MetricsEverySec. Rows are pure observations — draining

@@ -78,9 +78,8 @@ func Generate(cfg GenConfig) []Trace {
 	for i := range seeds {
 		seeds[i] = root.ForkSeed(int64(i + 1))
 	}
-	traces, err := engine.Map(context.Background(), seeds,
-		engine.Options{Workers: cfg.Workers, Seed: cfg.Seed},
-		func(i int, seed int64, _ *stats.Rand) (Trace, error) {
+	traces, err := engine.Map(context.Background(), seeds, cfg.Workers,
+		func(i int, seed int64) (Trace, error) {
 			return GenerateCluster(cfg, i, stats.NewRand(seed)), nil
 		})
 	if err != nil {

@@ -1,18 +1,19 @@
 // Package engine is the parallel deterministic simulation runner behind
-// the experiment pipelines. Fleet generation and every figure of the
-// paper's evaluation decompose into independent shards (one cluster, one
-// model fold, one sweep cell); the engine fans those shards out across a
-// work-stealing worker pool and merges results in shard order, so the
+// the experiment pipelines and the fleet simulator. Fleet generation,
+// every figure of the paper's evaluation, and every fleet cell decompose
+// into independent items (one cluster, one model fold, one sweep cell,
+// one pool group); the engine fans those items out across a
+// work-stealing worker pool and returns results in item order, so the
 // output of a run is byte-identical regardless of worker count or OS
 // scheduling.
 //
-// Determinism contract: each item receives its own RNG whose seed is
-// derived as fnv1a(rootSeed, itemIndex) (see stats.ShardSeed). Seeding
-// depends only on the item's position in the input slice — never on
-// which worker runs it or when — and results are returned indexed by that
-// same position. The work for one item must not share mutable state with
-// other items; anything it returns is merged by the caller in
-// deterministic input order.
+// Determinism contract: the work for one item must depend only on the
+// item and its index, never on which worker runs it or when, and must
+// not share mutable state with other items. Callers that need
+// randomness seed each item themselves from its index
+// (stats.NewRand(stats.ShardSeed(root, i))), so an item's stream is
+// fixed by its position in the input slice. Results are merged by the
+// caller in that same input order.
 package engine
 
 import (
@@ -21,54 +22,36 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"pond/internal/stats"
 )
 
-// Options configures a run.
-type Options struct {
-	// Workers is the pool size; <= 0 means GOMAXPROCS.
-	Workers int
-	// Seed is the root seed every item's stream derives from.
-	Seed int64
-}
-
-// Workers resolves the configured pool size.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SeedFor returns the seed of shard i under root: fnv1a(root, i).
-func SeedFor(root int64, shard int) int64 { return stats.ShardSeed(root, shard) }
-
-// Map fans fn out over items across the worker pool and returns the
-// per-item results in input order: one item per cluster (or fold, sweep
-// cell, fleet cell), one deterministic RNG per item. Errors from
-// individual items are joined in item order; a failed item keeps
+// Map fans fn out over items across a pool of `workers` goroutines
+// (<= 0 means GOMAXPROCS) and returns the per-item results in input
+// order: one item per cluster (or fold, sweep cell, fleet cell). Errors
+// from individual items are joined in item order; a failed item keeps
 // whatever result fn returned alongside its error. Map stops launching
 // new items once ctx is cancelled and reports ctx.Err() joined with any
 // item errors collected so far.
-func Map[T, R any](ctx context.Context, items []T, opts Options, fn func(i int, item T, rng *stats.Rand) (R, error)) ([]R, error) {
+func Map[T, R any](ctx context.Context, items []T, workers int, fn func(i int, item T) (R, error)) ([]R, error) {
 	n := len(items)
 	out := make([]R, n)
 	if n == 0 {
 		return out, ctx.Err()
 	}
-	workers := min(opts.workers(), n)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
 
 	if workers <= 1 {
-		// Serial fast path: same seeds, same merge order, no goroutines,
-		// and no error bookkeeping unless an item fails.
+		// Serial fast path: same merge order, no goroutines, and no
+		// error bookkeeping unless an item fails.
 		var errs []error
 		for i := range items {
 			if err := ctx.Err(); err != nil {
 				return out, errors.Join(append(errs, err)...)
 			}
 			var err error
-			if out[i], err = fn(i, items[i], stats.NewRand(SeedFor(opts.Seed, i))); err != nil {
+			if out[i], err = fn(i, items[i]); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -108,7 +91,7 @@ func Map[T, R any](ctx context.Context, items []T, opts Options, fn func(i int, 
 						return
 					}
 				}
-				out[idx], errs[idx] = fn(idx, items[idx], stats.NewRand(SeedFor(opts.Seed, idx)))
+				out[idx], errs[idx] = fn(idx, items[idx])
 			}
 		}(w)
 	}

@@ -14,53 +14,28 @@ import (
 	"pond/internal/stats"
 )
 
-// draws returns a tuple of draws from an item's RNG; any cross-item
-// stream sharing or seed drift shows up immediately.
-func draws(_ int, _ int, rng *stats.Rand) ([3]float64, error) {
+// draws returns a tuple of draws from the item's own RNG, seeded from
+// its index the way engine callers seed theirs; any cross-item stream
+// sharing or index mix-up shows up immediately.
+func draws(i int, _ int) ([3]float64, error) {
+	rng := stats.NewRand(stats.ShardSeed(42, i))
 	return [3]float64{rng.Float64(), rng.Float64(), rng.NormFloat64()}, nil
-}
-
-func TestSeedForIsOrderIndependent(t *testing.T) {
-	// Same (root, shard) must always map to the same seed, distinct
-	// shards to distinct seeds.
-	seen := map[int64]int{}
-	for shard := 0; shard < 1000; shard++ {
-		s := SeedFor(42, shard)
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("seed collision: shards %d and %d both map to %d", prev, shard, s)
-		}
-		seen[s] = shard
-	}
-	if SeedFor(42, 7) != SeedFor(42, 7) {
-		t.Fatal("SeedFor not a pure function")
-	}
-	if SeedFor(42, 7) == SeedFor(43, 7) {
-		t.Fatal("root seed ignored")
-	}
 }
 
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	items := make([]int, 64)
-	ref, err := Map(context.Background(), items, Options{Workers: 1, Seed: 42}, draws)
+	ref, err := Map(context.Background(), items, 1, draws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8, 33} {
-		got, err := Map(context.Background(), items, Options{Workers: workers, Seed: 42}, draws)
+		got, err := Map(context.Background(), items, workers, draws)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("results differ between workers=1 and workers=%d", workers)
 		}
-	}
-	// A different root seed must change the streams.
-	other, err := Map(context.Background(), items, Options{Workers: 4, Seed: 43}, draws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(ref, other) {
-		t.Fatal("root seed had no effect")
 	}
 }
 
@@ -72,13 +47,13 @@ func TestRunStealsUnevenWork(t *testing.T) {
 	// Front-load all the slow work onto worker 0's deque: with 4 workers
 	// items land on deques round-robin, so every 4th item is worker 0's.
 	var ran atomic.Int64
-	res, err := Map(context.Background(), make([]int, 32), Options{Workers: 4, Seed: 1},
-		func(i int, _ int, rng *stats.Rand) (int64, error) {
+	res, err := Map(context.Background(), make([]int, 32), 4,
+		func(i int, _ int) (int64, error) {
 			if i%4 == 0 {
 				time.Sleep(5 * time.Millisecond)
 			}
 			ran.Add(1)
-			return rng.Int63(), nil
+			return int64(i) + 1, nil
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +70,8 @@ func TestRunStealsUnevenWork(t *testing.T) {
 
 func TestRunJoinsErrorsInJobOrder(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		res, err := Map(context.Background(), []string{"ok-0", "bad-1", "ok-2", "bad-3"}, Options{Workers: workers, Seed: 1},
-			func(_ int, name string, _ *stats.Rand) (string, error) {
+		res, err := Map(context.Background(), []string{"ok-0", "bad-1", "ok-2", "bad-3"}, workers,
+			func(_ int, name string) (string, error) {
 				if strings.HasPrefix(name, "bad") {
 					return "", errors.New(name + ": boom")
 				}
@@ -123,8 +98,8 @@ func TestRunHonorsCancellation(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		_, err := Map(ctx, make([]int, 16), Options{Workers: workers, Seed: 1},
-			func(int, int, *stats.Rand) (struct{}, error) {
+		_, err := Map(ctx, make([]int, 16), workers,
+			func(int, int) (struct{}, error) {
 				ran.Add(1)
 				return struct{}{}, nil
 			})
@@ -138,10 +113,10 @@ func TestRunHonorsCancellation(t *testing.T) {
 }
 
 func TestRunEmptyAndSingle(t *testing.T) {
-	if res, err := Map(context.Background(), []int(nil), Options{}, draws); err != nil || len(res) != 0 {
+	if res, err := Map(context.Background(), []int(nil), 0, draws); err != nil || len(res) != 0 {
 		t.Fatalf("empty run: %v %v", res, err)
 	}
-	res, err := Map(context.Background(), []int{0}, Options{Workers: 8, Seed: 5}, draws)
+	res, err := Map(context.Background(), []int{0}, 8, draws)
 	if err != nil || len(res) != 1 || res[0] == ([3]float64{}) {
 		t.Fatalf("single item run: %v %v", res, err)
 	}
@@ -149,8 +124,8 @@ func TestRunEmptyAndSingle(t *testing.T) {
 
 func TestMapTypedResultsInOrder(t *testing.T) {
 	items := []int{10, 20, 30, 40}
-	got, err := Map(context.Background(), items, Options{Workers: 3, Seed: 9},
-		func(i int, item int, rng *stats.Rand) (string, error) {
+	got, err := Map(context.Background(), items, 3,
+		func(i int, item int) (string, error) {
 			return fmt.Sprintf("%d:%d", i, item), nil
 		})
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 
 	"pond/internal/cluster"
 	"pond/internal/engine"
-	"pond/internal/stats"
 )
 
 // DefaultSeed is the fleet-wide default seed; every experiment derives
@@ -66,13 +65,11 @@ func (s Scale) genConfig(rc RunConfig) cluster.GenConfig {
 // fanOut runs fn over every item on the engine's worker pool and returns
 // the results in item order — the deterministic fan-out/merge primitive
 // behind each figure pipeline. fn must not mutate state shared across
-// items; the rng it receives is the item's own fnv(seed, i)-derived
-// stream.
-func fanOut[T, R any](rc RunConfig, items []T, fn func(i int, item T, rng *stats.Rand) R) []R {
-	out, err := engine.Map(context.Background(), items,
-		engine.Options{Workers: rc.Workers, Seed: rc.Seed},
-		func(i int, item T, rng *stats.Rand) (R, error) {
-			return fn(i, item, rng), nil
+// items, and must depend only on the item and its index.
+func fanOut[T, R any](rc RunConfig, items []T, fn func(i int, item T) R) []R {
+	out, err := engine.Map(context.Background(), items, rc.Workers,
+		func(i int, item T) (R, error) {
+			return fn(i, item), nil
 		})
 	if err != nil {
 		panic("experiments: " + err.Error()) // unreachable: jobs cannot fail

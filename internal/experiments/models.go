@@ -6,7 +6,6 @@ import (
 	"pond/internal/cluster"
 	"pond/internal/ml"
 	"pond/internal/predict"
-	"pond/internal/stats"
 	"pond/internal/workload"
 )
 
@@ -37,7 +36,7 @@ func Figure17(folds, samplesPerWorkload int, opts ...Option) Figure17Result {
 		predict.KindRandomForest, predict.KindDRAMBound,
 		predict.KindMemoryBound, predict.KindLogistic,
 	}
-	curves := fanOut(rc, kinds, func(_ int, kind predict.ModelKind, _ *stats.Rand) []predict.SensPoint {
+	curves := fanOut(rc, kinds, func(_ int, kind predict.ModelKind) []predict.SensPoint {
 		return predict.SensitivityCurve(kind, workload.Ratio182, pdm, folds, samplesPerWorkload, rc.Seed)
 	})
 	return Figure17Result{
@@ -83,7 +82,7 @@ func Figure18(scale Scale, opts ...Option) Figure18Result {
 	eval := ds.Eval(cut, ds.Len())
 	// Each margin of the GBM curve evaluates on its own engine shard; the
 	// fixed-fraction strawman is cheap enough to stay serial.
-	gbmPoints := fanOut(rc, predict.DefaultMargins(), func(_ int, margin float64, _ *stats.Rand) predict.UMPoint {
+	gbmPoints := fanOut(rc, predict.DefaultMargins(), func(_ int, margin float64) predict.UMPoint {
 		return eval.Evaluate(m.WithMargin(margin))
 	})
 	// Render ascending by average untouched memory, like eval.Curve does.
@@ -144,7 +143,7 @@ func Figure19(scale Scale, retrainEvery int, opts ...Option) Figure19Result {
 	// Every retrain is independent — each trains on its own trailing
 	// prefix and evaluates on the following window — so the nightly
 	// pipeline fans out across retrain days.
-	points := fanOut(rc, days, func(_ int, day int, _ *stats.Rand) *Figure19Day {
+	points := fanOut(rc, days, func(_ int, day int) *Figure19Day {
 		trainEnd := ds.SplitAtDay(day)
 		if trainEnd < 200 {
 			return nil
@@ -205,7 +204,7 @@ func Figure20(scale Scale, folds int, opts ...Option) Figure20Result {
 	budgets := []float64{0.002, 0.005, 0.01, 0.015, 0.02, 0.03, 0.04, 0.05}
 	// The two latency levels solve Eq. (1) independently: one shard each.
 	frontiers := fanOut(rc, []float64{workload.Ratio182, workload.Ratio222},
-		func(_ int, ratio float64, _ *stats.Rand) []Figure20Point {
+		func(_ int, ratio float64) []Figure20Point {
 			sens := predict.SensitivityCurve(predict.KindRandomForest, ratio, 0.05, folds, 2, rc.Seed)
 			exceed := predict.ExceedProbGivenSpill(ratio, 0.05, predict.TypicalOverpredictionSpill)
 			var out []Figure20Point

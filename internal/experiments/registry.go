@@ -7,7 +7,6 @@ import (
 
 	"pond/internal/cluster"
 	"pond/internal/sim"
-	"pond/internal/stats"
 )
 
 // Definition is one runnable experiment: a name, what it reproduces, and
@@ -228,10 +227,10 @@ func RunSweep(spec SweepSpec, opts ...Option) SweepResult {
 	for _, scale := range spec.Scales {
 		cfg := scale.genConfig(rc)
 		traces := cluster.Generate(cfg)
-		schedules := fanOut(rc, traces, func(i int, _ cluster.Trace, _ *stats.Rand) sim.Schedule {
+		schedules := fanOut(rc, traces, func(i int, _ cluster.Trace) sim.Schedule {
 			return sim.BuildSchedule(&traces[i])
 		})
-		series := fanOut(rc, schedules, func(i int, s sim.Schedule, _ *stats.Rand) []sim.StrandingSample {
+		series := fanOut(rc, schedules, func(i int, s sim.Schedule) []sim.StrandingSample {
 			return sim.StrandingSeries(s)
 		})
 		var strandSum float64
@@ -248,7 +247,7 @@ func RunSweep(spec SweepSpec, opts ...Option) SweepResult {
 			meanStranded = strandSum / float64(strandN)
 		}
 
-		cells := fanOut(rc, spec.Policies, func(_ int, policy string, _ *stats.Rand) SweepCell {
+		cells := fanOut(rc, spec.Policies, func(_ int, policy string) SweepCell {
 			frac := sweepPolicies[policy]
 			var agg sim.Requirement
 			for i := range schedules {

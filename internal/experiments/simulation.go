@@ -28,7 +28,7 @@ func Figure2a(scale Scale, opts ...Option) Figure2aResult {
 	rc := newRunConfig(opts)
 	cfg := scale.genConfig(rc)
 	traces := cluster.Generate(cfg)
-	series := fanOut(rc, traces, func(i int, _ cluster.Trace, _ *stats.Rand) []sim.StrandingSample {
+	series := fanOut(rc, traces, func(i int, _ cluster.Trace) []sim.StrandingSample {
 		return sim.StrandingSeries(sim.BuildSchedule(&traces[i]))
 	})
 	return Figure2aResult{
@@ -75,7 +75,7 @@ func Figure2b(scale Scale, opts ...Option) Figure2bResult {
 	if len(traces) > 8 {
 		traces = traces[:8]
 	}
-	racks := fanOut(rc, traces, func(i int, _ cluster.Trace, _ *stats.Rand) Figure2bRack {
+	racks := fanOut(rc, traces, func(i int, _ cluster.Trace) Figure2bRack {
 		samples := sim.StrandingSeries(sim.BuildSchedule(&traces[i]))
 		rack := Figure2bRack{Name: traces[i].Name, ShockDay: traces[i].ShockDay}
 		for _, s := range samples {
@@ -124,7 +124,7 @@ func Figure3(scale Scale, opts ...Option) Figure3Result {
 	rc := newRunConfig(opts)
 	cfg := scale.genConfig(rc)
 	traces := cluster.Generate(cfg)
-	schedules := fanOut(rc, traces, func(i int, _ cluster.Trace, _ *stats.Rand) sim.Schedule {
+	schedules := fanOut(rc, traces, func(i int, _ cluster.Trace) sim.Schedule {
 		return sim.BuildSchedule(&traces[i])
 	})
 	type cell struct {
@@ -137,7 +137,7 @@ func Figure3(scale Scale, opts ...Option) Figure3Result {
 			cells = append(cells, cell{frac: frac, k: k})
 		}
 	}
-	rows := fanOut(rc, cells, func(_ int, c cell, _ *stats.Rand) Figure3Row {
+	rows := fanOut(rc, cells, func(_ int, c cell) Figure3Row {
 		var agg sim.Requirement
 		for i := range schedules {
 			plan := sim.UniformPlan(len(traces[i].VMs), c.frac)
@@ -244,7 +244,7 @@ func Figure21(scale Scale, opts ...Option) Figure21Result {
 	rc := newRunConfig(opts)
 	cfg := scale.genConfig(rc)
 	traces := cluster.Generate(cfg)
-	schedules := fanOut(rc, traces, func(i int, _ cluster.Trace, _ *stats.Rand) sim.Schedule {
+	schedules := fanOut(rc, traces, func(i int, _ cluster.Trace) sim.Schedule {
 		return sim.BuildSchedule(&traces[i])
 	})
 
@@ -252,7 +252,7 @@ func Figure21(scale Scale, opts ...Option) Figure21Result {
 	// sensitivity models on independent shards.
 	um := trainUM(scale, rc)
 	pipes := fanOut(rc, []float64{workload.Ratio182, workload.Ratio222},
-		func(_ int, ratio float64, _ *stats.Rand) *core.Pipeline {
+		func(_ int, ratio float64) *core.Pipeline {
 			return trainedPipeline(um, ratio, rc)
 		})
 	pond182, pond222 := pipes[0], pipes[1]
@@ -270,7 +270,7 @@ func Figure21(scale Scale, opts ...Option) Figure21Result {
 		p182, p222 sim.SplitPlan
 		s182, s222 core.PlanStats
 	}
-	plannedByCluster := fanOut(rc, seeds, func(i int, s planSeeds, _ *stats.Rand) planned {
+	plannedByCluster := fanOut(rc, seeds, func(i int, s planSeeds) planned {
 		var p planned
 		p.p182, p.s182 = pond182.PlanTrace(&traces[i], stats.NewRand(s.s182))
 		p.p222, p.s222 = pond222.PlanTrace(&traces[i], stats.NewRand(s.s222))
@@ -306,7 +306,7 @@ func Figure21(scale Scale, opts ...Option) Figure21Result {
 			cells = append(cells, cell{k: k, pol: pol})
 		}
 	}
-	rows := fanOut(rc, cells, func(_ int, c cell, _ *stats.Rand) Figure21Row {
+	rows := fanOut(rc, cells, func(_ int, c cell) Figure21Row {
 		var agg sim.Requirement
 		for i := range schedules {
 			agg.Add(sim.RequiredDRAM(schedules[i], c.k, policies[c.pol].plans[i]))
@@ -450,7 +450,7 @@ func AblationAsyncRelease(scale Scale, opts ...Option) AblationAsyncReleaseResul
 
 	factors := []float64{0.02, 0.05, 0.10, 0.30}
 	type outcome struct{ waitFrac, fallbackFrac float64 }
-	outcomes := fanOut(rc, factors, func(_ int, factor float64, _ *stats.Rand) outcome {
+	outcomes := fanOut(rc, factors, func(_ int, factor float64) outcome {
 		poolGB := int(tr.TotalClusterMemGB() * factor)
 		device := emc.NewDevice("emc0", poolGB, 64)
 		pm := pool.NewManager([]*emc.Device{device}, stats.NewRand(rc.Seed))

@@ -21,11 +21,11 @@ import (
 // buffers per admission trips the bound immediately.
 func TestWarmedCellSteadyStateAllocs(t *testing.T) {
 	o := testOptions()
-	o.Cells = 1
-	o.DurationSec = 2000
-	o.Arrival = ArrivalModel{Kind: ArrivalPoisson, RatePerSec: 0.2, MeanLifetimeSec: 200}
+	o.Cluster.Cells = 1
+	o.Cluster.DurationSec = 2000
+	o.Arrivals = ArrivalOpts{Process: ArrivalPoisson, RatePerSec: 0.2, MeanLifetimeSec: 200}
 
-	sim, err := newCellSim(0, o, nil, 0, stats.NewRand(o.Seed))
+	sim, err := newCellSim(0, o, nil, 0, stats.NewRand(o.Engine.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,78 +18,73 @@ const (
 	ArrivalTrace   = "trace"
 )
 
-// ArrivalModel describes the VM arrival process of one cell.
-type ArrivalModel struct {
-	// Kind is "poisson" (memoryless arrivals with exponential lifetimes)
-	// or "trace" (interarrivals, shapes, and lifetimes derived from the
-	// internal/cluster generator — bursty deployments, customer
-	// correlations, workload shocks).
-	Kind string
-
-	// RatePerSec is the Poisson arrival rate (VMs per second).
-	RatePerSec float64
-
-	// MeanLifetimeSec is the mean exponential VM lifetime under poisson.
-	MeanLifetimeSec float64
-}
-
-// DefaultArrival returns the default Poisson process: one VM every 20
-// simulated seconds, mean lifetime 600 s.
-func DefaultArrival() ArrivalModel {
-	return ArrivalModel{Kind: ArrivalPoisson, RatePerSec: 0.05, MeanLifetimeSec: 600}
-}
-
-// ParseArrival parses an arrival spec:
+// ParseArrival parses an arrival spec, filling unspecified parameters
+// from the defaults:
 //
 //	poisson
 //	poisson:rate=0.05
 //	poisson:rate=0.05:life=600
 //	trace
-func ParseArrival(s string) (ArrivalModel, error) {
-	m := DefaultArrival()
+func ParseArrival(s string) (ArrivalOpts, error) {
+	a := DefaultOptions().Arrivals
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return m, nil
+		return a, nil
 	}
 	parts := strings.Split(s, ":")
 	switch parts[0] {
-	case ArrivalPoisson:
-		m.Kind = ArrivalPoisson
-	case ArrivalTrace:
-		m.Kind = ArrivalTrace
+	case ArrivalPoisson, ArrivalTrace:
+		a.Process = parts[0]
 	default:
-		return m, fmt.Errorf("fleet: unknown arrival model %q (want poisson or trace)", parts[0])
+		return a, fmt.Errorf("fleet: unknown arrival model %q (want poisson or trace)", parts[0])
 	}
 	for _, p := range parts[1:] {
 		k, v, ok := strings.Cut(p, "=")
 		if !ok {
-			return m, fmt.Errorf("fleet: arrival parameter %q is not key=value", p)
+			return a, fmt.Errorf("fleet: arrival parameter %q is not key=value", p)
 		}
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 || math.IsInf(f, 0) || math.IsNaN(f) {
-			return m, fmt.Errorf("fleet: arrival parameter %s=%q must be a positive number", k, v)
+		if err != nil || f <= 0 || !finite(f) {
+			return a, fmt.Errorf("fleet: arrival parameter %s=%q must be a positive number", k, v)
 		}
 		switch k {
 		case "rate":
-			m.RatePerSec = f
+			a.RatePerSec = f
 		case "life":
-			m.MeanLifetimeSec = f
+			a.MeanLifetimeSec = f
 		default:
-			return m, fmt.Errorf("fleet: unknown arrival parameter %q (want rate, life)", k)
+			return a, fmt.Errorf("fleet: unknown arrival parameter %q (want rate, life)", k)
 		}
 	}
-	if m.Kind == ArrivalTrace && len(parts) > 1 {
-		return m, fmt.Errorf("fleet: trace arrivals take no parameters")
+	if a.Process == ArrivalTrace && len(parts) > 1 {
+		return a, fmt.Errorf("fleet: trace arrivals take no parameters")
 	}
-	return m, nil
+	return a, nil
 }
 
-// String renders the model as a parseable spec.
-func (m ArrivalModel) String() string {
-	if m.Kind == ArrivalTrace {
+// String renders the arrival process as a parseable spec.
+func (a ArrivalOpts) String() string {
+	if a.Process == ArrivalTrace {
 		return ArrivalTrace
 	}
-	return fmt.Sprintf("%s:rate=%g:life=%g", ArrivalPoisson, m.RatePerSec, m.MeanLifetimeSec)
+	return fmt.Sprintf("%s:rate=%g:life=%g", ArrivalPoisson, a.RatePerSec, a.MeanLifetimeSec)
+}
+
+// Spec renders the canonical arrival spec string the -arrival flag
+// takes, e.g. "poisson:rate=0.05:life=600", with zero fields filled
+// from the defaults.
+func (a ArrivalOpts) Spec() string {
+	d := DefaultOptions().Arrivals
+	if a.Process == "" {
+		a.Process = d.Process
+	}
+	if a.RatePerSec <= 0 {
+		a.RatePerSec = d.RatePerSec
+	}
+	if a.MeanLifetimeSec <= 0 {
+		a.MeanLifetimeSec = d.MeanLifetimeSec
+	}
+	return a.String()
 }
 
 // synthCustomers builds a small tenant population for the Poisson stream,
@@ -132,10 +127,10 @@ const MaxArrivalsPerCell = 1 << 20
 // allocated once. Only capacity — never content — depends on the
 // estimate.
 func expectedArrivals(o Options) float64 {
-	n := o.Arrival.RatePerSec * o.DurationSec
+	n := o.Arrivals.RatePerSec * o.Cluster.DurationSec
 	for _, inj := range o.Injections {
-		if inj.Kind == InjectSurge && inj.Factor > 1 {
-			n += o.Arrival.RatePerSec * (inj.Factor - 1) * inj.DurSec
+		if inj.kind == InjectSurge && inj.factor > 1 {
+			n += o.Arrivals.RatePerSec * (inj.factor - 1) * inj.durSec
 		}
 	}
 	return n + n/10 + 16
@@ -241,17 +236,17 @@ func driftEpochs(initial []cluster.Customer, injections []Injection, cell int, r
 	epochs = [][]cluster.Customer{initial}
 	var drifts []Injection
 	for _, in := range injections {
-		if in.Kind == InjectDrift && in.AppliesTo(cell) {
+		if in.kind == InjectDrift && in.AppliesTo(cell) {
 			drifts = append(drifts, in)
 		}
 	}
 	if len(drifts) == 0 {
 		return nil, epochs
 	}
-	sort.SliceStable(drifts, func(i, j int) bool { return drifts[i].AtSec < drifts[j].AtSec })
+	sort.SliceStable(drifts, func(i, j int) bool { return drifts[i].atSec < drifts[j].atSec })
 	for _, d := range drifts {
-		times = append(times, d.AtSec)
-		epochs = append(epochs, driftPopulation(epochs[len(epochs)-1], d.Mag, rd))
+		times = append(times, d.atSec)
+		epochs = append(epochs, driftPopulation(epochs[len(epochs)-1], d.mag, rd))
 	}
 	return times, epochs
 }
@@ -279,27 +274,27 @@ func generateArrivals(o Options, cell int, seed int64) []cluster.VMRequest {
 	var customers []cluster.Customer
 	var driftTimes []float64
 	var epochs [][]cluster.Customer
-	baseRate := o.Arrival.RatePerSec
-	isTrace := o.Arrival.Kind == ArrivalTrace
+	baseRate := o.Arrivals.RatePerSec
+	isTrace := o.Arrivals.Process == ArrivalTrace
 
-	switch o.Arrival.Kind {
+	switch o.Arrivals.Process {
 	case ArrivalTrace:
 		gen := cluster.DefaultGenConfig()
-		gen.ServersPerCluster = o.Hosts
-		gen.Days = int(math.Ceil(o.DurationSec / 86400))
+		gen.ServersPerCluster = o.Cluster.Hosts
+		gen.Days = int(math.Ceil(o.Cluster.DurationSec / 86400))
 		if gen.Days < 1 {
 			gen.Days = 1
 		}
-		gen.Spec = cluster.ServerSpec{Sockets: 2, CoresPerSock: o.CoresPerSocket, MemGBPerSock: o.MemGBPerSocket}
+		gen.Spec = cluster.ServerSpec{Sockets: 2, CoresPerSock: coresPerSocket, MemGBPerSock: memGBPerSocket}
 		tr := cluster.GenerateCluster(gen, cell, r.Fork(1))
 		customers = tr.Customers
 		for _, vm := range tr.VMs {
-			if vm.ArrivalSec < o.DurationSec {
+			if vm.ArrivalSec < o.Cluster.DurationSec {
 				vms = append(vms, vm)
 			}
 		}
 		if n := len(vms); n > 0 {
-			baseRate = float64(n) / o.DurationSec
+			baseRate = float64(n) / o.Cluster.DurationSec
 		}
 		epochs = [][]cluster.Customer{customers}
 	default: // poisson
@@ -310,10 +305,10 @@ func generateArrivals(o Options, cell int, seed int64) []cluster.VMRequest {
 		// Presize for the expected stream (surge extras included below
 		// share the slice); capacity never affects the drawn contents.
 		vms = make([]cluster.VMRequest, 0, int(expectedArrivals(o)))
-		for t := rArr.Exponential(1 / o.Arrival.RatePerSec); t < o.DurationSec; t += rArr.Exponential(1 / o.Arrival.RatePerSec) {
+		for t := rArr.Exponential(1 / o.Arrivals.RatePerSec); t < o.Cluster.DurationSec; t += rArr.Exponential(1 / o.Arrivals.RatePerSec) {
 			pop := populationAt(t, driftTimes, epochs)
 			cust := pop[rArr.Intn(len(pop))]
-			vms = append(vms, drawVM(cust, t, o.Arrival.MeanLifetimeSec, rArr))
+			vms = append(vms, drawVM(cust, t, o.Arrivals.MeanLifetimeSec, rArr))
 		}
 	}
 
@@ -321,24 +316,21 @@ func generateArrivals(o Options, cell int, seed int64) []cluster.VMRequest {
 	// base rate over their window, drawn from the tenant population live
 	// at each extra arrival's time (pre-drift before a drift point,
 	// post-drift after it).
-	meanLife := o.Arrival.MeanLifetimeSec
-	if meanLife <= 0 {
-		meanLife = DefaultArrival().MeanLifetimeSec
-	}
+	meanLife := o.Arrivals.MeanLifetimeSec
 	for i, inj := range o.Injections {
-		if inj.Kind != InjectSurge || len(customers) == 0 {
+		if inj.kind != InjectSurge || len(customers) == 0 {
 			continue
 		}
-		extraRate := baseRate * (inj.Factor - 1)
+		extraRate := baseRate * (inj.factor - 1)
 		if extraRate <= 0 {
 			continue
 		}
 		rs := r.Fork(int64(100 + i))
-		end := inj.AtSec + inj.DurSec
-		if end > o.DurationSec {
-			end = o.DurationSec
+		end := inj.atSec + inj.durSec
+		if end > o.Cluster.DurationSec {
+			end = o.Cluster.DurationSec
 		}
-		for t := inj.AtSec + rs.Exponential(1/extraRate); t < end; t += rs.Exponential(1 / extraRate) {
+		for t := inj.atSec + rs.Exponential(1/extraRate); t < end; t += rs.Exponential(1 / extraRate) {
 			pop := populationAt(t, driftTimes, epochs)
 			cust := pop[rs.Intn(len(pop))]
 			vms = append(vms, drawVM(cust, t, meanLife, rs))
@@ -379,23 +371,23 @@ func (s byArrival) Swap(a, b int)      { s[a], s[b] = s[b], s[a] }
 func driftTraceVMs(vms []cluster.VMRequest, injections []Injection, cell int, rd *stats.Rand) []cluster.VMRequest {
 	var drifts []Injection
 	for _, in := range injections {
-		if in.Kind == InjectDrift && in.AppliesTo(cell) {
+		if in.kind == InjectDrift && in.AppliesTo(cell) {
 			drifts = append(drifts, in)
 		}
 	}
 	if len(drifts) == 0 {
 		return vms
 	}
-	sort.SliceStable(drifts, func(i, j int) bool { return drifts[i].AtSec < drifts[j].AtSec })
+	sort.SliceStable(drifts, func(i, j int) bool { return drifts[i].atSec < drifts[j].atSec })
 	catalogue := catalogueCache
 	for _, d := range drifts {
 		for i := range vms {
-			if vms[i].ArrivalSec < d.AtSec {
+			if vms[i].ArrivalSec < d.atSec {
 				continue
 			}
 			uf := vms[i].GroundTruth.UntouchedFrac
-			vms[i].GroundTruth.UntouchedFrac = stats.Clamp(uf*(1-d.Mag)+(1-uf)*d.Mag, 0, 1)
-			if rd.Bernoulli(d.Mag) {
+			vms[i].GroundTruth.UntouchedFrac = stats.Clamp(uf*(1-d.mag)+(1-uf)*d.mag, 0, 1)
+			if rd.Bernoulli(d.mag) {
 				vms[i].GroundTruth.Workload = catalogue[rd.Intn(len(catalogue))]
 			}
 		}

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"hash"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,318 +52,6 @@ import (
 	"pond/internal/telemetry"
 	"pond/internal/topo"
 )
-
-// Model-retraining scopes.
-const (
-	// ScopeCell: every cell runs its own champion/challenger lifecycle
-	// (the PR-3 behaviour, and the default).
-	ScopeCell = "cell"
-	// ScopeFleet: one central pipeline pools telemetry across cells and
-	// deploys a single release train through staged canary rollout (§5).
-	ScopeFleet = "fleet"
-)
-
-// Options configures a fleet run. The zero value of any field falls back
-// to the corresponding DefaultOptions value.
-type Options struct {
-	// Topology names the host-to-EMC graph of every cell: flat, sharded,
-	// or sparse (see internal/topo).
-	Topology string
-	// PodDegree is the per-host EMC count under sparse.
-	PodDegree int
-
-	// Hosts, EMCs, and PoolGB size each cell's pool group.
-	Hosts  int
-	EMCs   int
-	PoolGB int
-
-	// CoresPerSocket and MemGBPerSocket shape each dual-socket host.
-	CoresPerSocket int
-	MemGBPerSocket float64
-
-	// Cells is the number of independent pool groups; each is one
-	// engine shard.
-	Cells int
-
-	// DurationSec is the simulated horizon of each cell.
-	DurationSec float64
-
-	// Arrival is the VM arrival process.
-	Arrival ArrivalModel
-
-	// Injections are the scheduled scenario events, applied to every
-	// cell (regional drifts restrict themselves to their cell range).
-	Injections []Injection
-
-	// Predictions enables the ML scheduling pipeline; when false every
-	// VM is all-local (the no-pooling baseline).
-	Predictions bool
-
-	// RetrainEverySec > 0 turns on the online model-lifecycle loop:
-	// models retrain from live telemetry at this cadence. Requires
-	// Predictions.
-	RetrainEverySec float64
-	// ModelScope selects where retraining happens: ScopeCell (default)
-	// or ScopeFleet (pooled telemetry, staged cross-cell rollout).
-	ModelScope string
-	// CanaryFraction is the fraction of cells a fleet-scoped release
-	// reaches first (rounded up to at least one cell; 0 means the
-	// default 0.25). Fleet scope only.
-	CanaryFraction float64
-	// BakeWindowSec is how long a fleet-scoped canary bakes before its
-	// promote-or-rollback verdict (0 means twice the retrain cadence).
-	// Fleet scope only.
-	BakeWindowSec float64
-	// PromoteMargin is the fractional loss improvement required to
-	// promote a challenger (or demote a regressed champion); zero means
-	// the mlops default.
-	PromoteMargin float64
-	// HoldoutWindow is the rolling comparison window in completed VMs;
-	// zero means the mlops default.
-	HoldoutWindow int
-	// MinTrainRows is the minimum completed VMs before a challenger is
-	// trained; zero means the mlops default.
-	MinTrainRows int
-	// CaptureModels dumps the versioned model snapshots into the report
-	// (per cell under ScopeCell, the release train under ScopeFleet).
-	CaptureModels bool
-
-	// ElasticPool turns on the online capacity controller: at every
-	// PlanEverySec barrier each cell re-plans its pool size from the
-	// demand observed since the previous barrier and grows or shrinks the
-	// EMCs through the Pool Manager's elastic APIs (shrinks retire only
-	// free slices — live VMs are never stranded).
-	ElasticPool bool
-	// PlanEverySec is the planning-barrier cadence (0 means an eighth of
-	// the horizon). Elastic pool only.
-	PlanEverySec float64
-	// TargetQoS is the tolerated fraction of time pool demand may exceed
-	// capacity — the controller's and the offline planner's sizing target
-	// (0 means the 0.01 default). Elastic pool only.
-	TargetQoS float64
-
-	// PDM and TP are the QoS knobs (§5).
-	PDM float64
-	TP  float64
-
-	// MetricsEverySec > 0 samples each cell's sim-time metrics series
-	// (live VMs, pool used/free, queue depth, pred-err EWMA) at this
-	// simulated cadence into a preallocated per-cell ring, drained via
-	// Runner.DrainMetrics and surfaced in CellResult.Series. Sampling
-	// reads sim state only: the event log and report hashes are
-	// byte-identical with metrics on or off. 0 disables sampling.
-	MetricsEverySec float64
-
-	// Workers bounds the engine pool; <= 0 means GOMAXPROCS. Results
-	// are byte-identical for every value.
-	Workers int
-	// Seed roots every cell's RNG stream.
-	Seed int64
-}
-
-// DefaultOptions returns the default fleet: four 8-host cells with four
-// 128 GB EMCs each, Poisson arrivals, predictions on.
-func DefaultOptions() Options {
-	return Options{
-		Topology:       topo.Flat,
-		PodDegree:      2,
-		Hosts:          8,
-		EMCs:           4,
-		PoolGB:         512,
-		CoresPerSocket: 24,
-		MemGBPerSocket: 192,
-		Cells:          4,
-		DurationSec:    1000,
-		Arrival:        DefaultArrival(),
-		Predictions:    true,
-		ModelScope:     ScopeCell,
-		PDM:            0.05,
-		TP:             0.98,
-		Seed:           1,
-	}
-}
-
-// normalize fills zero fields from the defaults and validates the rest.
-func normalize(o Options) (Options, error) {
-	d := DefaultOptions()
-	if o.Topology == "" {
-		o.Topology = d.Topology
-	}
-	if o.PodDegree <= 0 {
-		o.PodDegree = d.PodDegree
-	}
-	if o.Hosts <= 0 {
-		o.Hosts = d.Hosts
-	}
-	if o.EMCs <= 0 {
-		o.EMCs = d.EMCs
-	}
-	if o.PoolGB <= 0 {
-		o.PoolGB = d.PoolGB
-	}
-	if o.CoresPerSocket <= 0 {
-		o.CoresPerSocket = d.CoresPerSocket
-	}
-	if o.MemGBPerSocket <= 0 {
-		o.MemGBPerSocket = d.MemGBPerSocket
-	}
-	if o.Cells <= 0 {
-		o.Cells = d.Cells
-	}
-	if o.DurationSec <= 0 {
-		o.DurationSec = d.DurationSec
-	}
-	switch o.Arrival.Kind {
-	case "":
-		o.Arrival.Kind = d.Arrival.Kind
-	case ArrivalPoisson, ArrivalTrace:
-	default:
-		return o, fmt.Errorf("fleet: unknown arrival model %q (want %s or %s)", o.Arrival.Kind, ArrivalPoisson, ArrivalTrace)
-	}
-	if o.Arrival.RatePerSec < 0 || math.IsNaN(o.Arrival.RatePerSec) || math.IsInf(o.Arrival.RatePerSec, 0) {
-		return o, fmt.Errorf("fleet: arrival rate %g/s must be a finite number >= 0", o.Arrival.RatePerSec)
-	}
-	if o.Arrival.RatePerSec == 0 {
-		o.Arrival.RatePerSec = d.Arrival.RatePerSec
-	}
-	if o.Arrival.MeanLifetimeSec < 0 || math.IsNaN(o.Arrival.MeanLifetimeSec) || math.IsInf(o.Arrival.MeanLifetimeSec, 0) {
-		return o, fmt.Errorf("fleet: mean VM lifetime %gs must be a finite number >= 0", o.Arrival.MeanLifetimeSec)
-	}
-	if o.Arrival.MeanLifetimeSec == 0 {
-		o.Arrival.MeanLifetimeSec = d.Arrival.MeanLifetimeSec
-	}
-	if o.PDM <= 0 {
-		o.PDM = d.PDM
-	}
-	if o.TP <= 0 {
-		o.TP = d.TP
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	if o.ModelScope == "" {
-		o.ModelScope = ScopeCell
-	}
-	if o.PoolGB < o.EMCs {
-		return o, fmt.Errorf("fleet: pool of %d GB cannot shard across %d EMCs", o.PoolGB, o.EMCs)
-	}
-	if o.RetrainEverySec < 0 || math.IsNaN(o.RetrainEverySec) || math.IsInf(o.RetrainEverySec, 0) {
-		return o, fmt.Errorf("fleet: retrain interval %gs must be a finite number >= 0", o.RetrainEverySec)
-	}
-	if o.RetrainEverySec > 0 && !o.Predictions {
-		return o, fmt.Errorf("fleet: retraining requires predictions")
-	}
-	if o.CaptureModels && !o.Predictions {
-		return o, fmt.Errorf("fleet: capturing models requires predictions")
-	}
-	if !(o.PromoteMargin >= 0 && o.PromoteMargin < 1) { // rejects NaN too
-		return o, fmt.Errorf("fleet: promotion margin %g must be in [0, 1)", o.PromoteMargin)
-	}
-	if o.HoldoutWindow < 0 || o.MinTrainRows < 0 {
-		return o, fmt.Errorf("fleet: holdout window and min train rows must be >= 0")
-	}
-	switch o.ModelScope {
-	case ScopeCell:
-		// Rollout knobs are fleet-scope-only; a non-zero value under cell
-		// scope is a configuration mistake, not something to ignore.
-		if o.CanaryFraction != 0 || o.BakeWindowSec != 0 {
-			return o, fmt.Errorf("fleet: canary fraction and bake window require model scope %q", ScopeFleet)
-		}
-	case ScopeFleet:
-		if o.RetrainEverySec <= 0 {
-			return o, fmt.Errorf("fleet: model scope %q requires a retrain cadence", ScopeFleet)
-		}
-		if o.CanaryFraction == 0 {
-			o.CanaryFraction = 0.25
-		}
-		if !(o.CanaryFraction > 0 && o.CanaryFraction <= 1) { // rejects NaN too
-			return o, fmt.Errorf("fleet: canary fraction %g must be in (0, 1]", o.CanaryFraction)
-		}
-		if o.BakeWindowSec < 0 || math.IsNaN(o.BakeWindowSec) || math.IsInf(o.BakeWindowSec, 0) {
-			return o, fmt.Errorf("fleet: bake window %gs must be a finite number >= 0", o.BakeWindowSec)
-		}
-		if o.BakeWindowSec == 0 {
-			o.BakeWindowSec = 2 * o.RetrainEverySec
-		}
-	default:
-		return o, fmt.Errorf("fleet: unknown model scope %q (want %s or %s)", o.ModelScope, ScopeCell, ScopeFleet)
-	}
-	if o.MetricsEverySec < 0 || math.IsNaN(o.MetricsEverySec) || math.IsInf(o.MetricsEverySec, 0) {
-		return o, fmt.Errorf("fleet: metrics cadence %gs must be a finite number >= 0", o.MetricsEverySec)
-	}
-	if !o.ElasticPool && (o.PlanEverySec != 0 || o.TargetQoS != 0) {
-		// Elastic knobs without the elastic pool are a configuration
-		// mistake, not something to ignore (same discipline as canary/bake
-		// under cell scope).
-		return o, fmt.Errorf("fleet: plan cadence and QoS target require the elastic pool")
-	}
-	if o.ElasticPool {
-		if o.PlanEverySec < 0 || math.IsNaN(o.PlanEverySec) || math.IsInf(o.PlanEverySec, 0) {
-			return o, fmt.Errorf("fleet: plan cadence %gs must be a finite number >= 0", o.PlanEverySec)
-		}
-		if o.PlanEverySec == 0 {
-			o.PlanEverySec = o.DurationSec / 8
-		}
-		if o.PlanEverySec >= o.DurationSec {
-			return o, fmt.Errorf("fleet: plan cadence %gs never fires within the %gs horizon", o.PlanEverySec, o.DurationSec)
-		}
-		if o.TargetQoS == 0 {
-			o.TargetQoS = 0.01
-		}
-		if !(o.TargetQoS > 0 && o.TargetQoS < 1) { // rejects NaN too
-			return o, fmt.Errorf("fleet: QoS target %g must be in (0, 1)", o.TargetQoS)
-		}
-	}
-	if _, err := topo.Build(o.Topology, o.Hosts, o.EMCs, o.PodDegree); err != nil {
-		return o, err
-	}
-	for _, in := range o.Injections {
-		if err := ValidateInjection(in, o); err != nil {
-			return o, err
-		}
-	}
-	if n := expectedArrivals(o); !(n <= MaxArrivalsPerCell) { // rejects NaN too
-		return o, fmt.Errorf("fleet: arrival rate %g/s over the %gs horizon expects %.3g arrivals per cell, above the %d cap",
-			o.Arrival.RatePerSec, o.DurationSec, n, MaxArrivalsPerCell)
-	}
-	return o, nil
-}
-
-// NormalizeOptions fills zero fields from the defaults and validates the
-// rest — the single validation path shared by Run, the Runner, and the
-// public pond facade (flag parsing and serve request bodies both land
-// here).
-func NormalizeOptions(o Options) (Options, error) { return normalize(o) }
-
-// ValidateInjection checks one injection against the sized fleet. It is
-// shared by Options normalization and the Runner's live-injection path,
-// so a scenario POSTed into a running simulation meets exactly the same
-// rules as one scheduled from the command line.
-func ValidateInjection(in Injection, o Options) error {
-	if (in.Kind == InjectEMCFail || in.Kind == InjectResize) && (in.EMC < 0 || in.EMC >= o.EMCs) {
-		return fmt.Errorf("fleet: injection %s targets EMC %d of %d", in, in.EMC, o.EMCs)
-	}
-	if in.Kind == InjectResize && (in.Slices == 0 || in.Slices < -MaxResizeSlices || in.Slices > MaxResizeSlices) {
-		return fmt.Errorf("fleet: injection %s must resize by a non-zero count of at most %d slices", in, MaxResizeSlices)
-	}
-	if in.Kind == InjectHostDrain && (in.Host < 0 || in.Host >= o.Hosts) {
-		return fmt.Errorf("fleet: injection %s targets host %d of %d", in, in.Host, o.Hosts)
-	}
-	if in.Kind == InjectDrift && in.CellHi >= 0 {
-		if in.CellLo < 0 || in.CellLo > in.CellHi {
-			return fmt.Errorf("fleet: injection %s has an empty cell range", in)
-		}
-		if in.CellHi >= o.Cells {
-			return fmt.Errorf("fleet: injection %s targets cell %d of %d", in, in.CellHi, o.Cells)
-		}
-	}
-	if in.AtSec > o.DurationSec {
-		// Refuse rather than silently never firing: the caller asked
-		// for a scenario the horizon cannot contain.
-		return fmt.Errorf("fleet: injection %s fires after the %gs horizon", in, o.DurationSec)
-	}
-	return nil
-}
 
 // CellResult is one cell's outcome.
 type CellResult struct {
@@ -433,7 +120,7 @@ type CellResult struct {
 	// Lifecycle is the cell's retrain/promote/demote history (cell
 	// scope).
 	Lifecycle []mlops.Event
-	// ModelDump holds the versioned model snapshots (CaptureModels under
+	// ModelDump holds the versioned model snapshots (Model.Capture under
 	// cell scope).
 	ModelDump json.RawMessage
 
@@ -497,7 +184,7 @@ type Report struct {
 	// ChampionVer is the fleet champion release at run end (fleet scope).
 	ChampionVer int
 	// ModelDumps is one versioned-model snapshot document per cell
-	// (CaptureModels; a single release-train document under fleet
+	// (Model.Capture; a single release-train document under fleet
 	// scope).
 	ModelDumps []json.RawMessage
 
@@ -519,25 +206,25 @@ type Report struct {
 // String renders a one-screen summary.
 func (r *Report) String() string {
 	var b strings.Builder
+	cl, m, cp := r.Options.Cluster, r.Options.Model, r.Options.Capacity
 	fmt.Fprintf(&b, "fleet: topology=%s cells=%d hosts=%d emcs=%d pool=%dGB arrival=%s duration=%gs seed=%d\n",
-		r.Options.Topology, r.Options.Cells, r.Options.Hosts, r.Options.EMCs, r.Options.PoolGB,
-		r.Options.Arrival, r.Options.DurationSec, r.Options.Seed)
+		cl.Topology, cl.Cells, cl.Hosts, cl.EMCs, cl.PoolGB, r.Options.Arrivals, cl.DurationSec, r.Options.Engine.Seed)
 	fmt.Fprintf(&b, "  %s\n", r.TopologyDesc)
 	fmt.Fprintf(&b, "  arrivals=%d placed=%d rejected=%d departed=%d blast-vms=%d migrated=%d\n",
 		r.Arrivals, r.Placed, r.Rejected, r.Departed, r.BlastVMs, r.Migrated)
 	fmt.Fprintf(&b, "  core-util=%.1f%% stranded=%.1fGB peak-pool-used=%.0fGB pool-share=%.1f%% qos-violations=%d mitigated=%d\n",
 		100*r.AvgCoreUtil, r.AvgStrandedGB, r.PeakPoolUsedGB, 100*r.PoolShare, r.QoSViolations, r.Mitigations)
-	if r.Options.ElasticPool {
+	if cp.Elastic {
 		fmt.Fprintf(&b, "  elastic: plan-every=%gs target-qos=%.2f%% plans=%d final-pool=%dGB dram-saved=%.1fGB fallbacks=%d\n",
-			r.Options.PlanEverySec, 100*r.Options.TargetQoS, len(r.PlanHistory),
+			cp.PlanEverySec, 100*cp.TargetQoS, len(r.PlanHistory),
 			r.FinalPoolGB, r.DRAMSavedGB, r.Fallbacks)
 	}
-	if r.Options.RetrainEverySec > 0 && r.Options.ModelScope == ScopeFleet {
+	if m.RetrainEverySec > 0 && m.Scope == ScopeFleet {
 		fmt.Fprintf(&b, "  fleet-mlops: scope=fleet canary=%.2f bake=%gs retrains=%d promotions=%d rollbacks=%d demotions=%d champion-ver=%d pred-err=%.4f pred-err-final=%.4f insens-err=%.4f\n",
-			r.Options.CanaryFraction, r.Options.BakeWindowSec,
+			m.CanaryFraction, m.BakeWindowSec,
 			r.Retrains, r.Promotions, r.Rollbacks, r.Demotions, r.ChampionVer,
 			r.PredErrMean, r.PredErrFinal, r.InsensErrMean)
-	} else if r.Options.RetrainEverySec > 0 {
+	} else if m.RetrainEverySec > 0 {
 		fmt.Fprintf(&b, "  mlops: retrains=%d promotions=%d demotions=%d pred-err=%.4f pred-err-final=%.4f insens-err=%.4f\n",
 			r.Retrains, r.Promotions, r.Demotions, r.PredErrMean, r.PredErrFinal, r.InsensErrMean)
 	}
@@ -562,12 +249,12 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 // scoring is read-only, so every cell shares it. The threshold targets
 // the paper's ~30% label rate. Without predictions there is no model.
 func trainInsens(o Options) (predict.Insensitivity, float64) {
-	if !o.Predictions {
+	if o.Model.Disabled {
 		return nil, 0
 	}
-	ratio := cxl.PondLatencyRatio(o.Hosts * 2)
-	ds := predict.BuildSensitivityDataset(ratio, o.PDM, 3, o.Seed)
-	rf := predict.TrainForest(ds.X, ds.Insensitive, o.Seed)
+	ratio := cxl.PondLatencyRatio(o.Cluster.Hosts * 2)
+	ds := predict.BuildSensitivityDataset(ratio, qosPDM, 3, o.Engine.Seed)
+	rf := predict.TrainForest(ds.X, ds.Insensitive, o.Engine.Seed)
 	threshold := predict.ThresholdForLabelRate(predict.DatasetScores(rf, ds), 0.30)
 	return rf, threshold
 }
@@ -580,7 +267,7 @@ func trainInsens(o Options) (predict.Insensitivity, float64) {
 // fleetCompacted its folded-away line count.
 func assembleReport(o Options, results []CellResult, fleetLog, fleetSHA string, fleetCompacted int, fp *fleetpipeline.Manager) (*Report, error) {
 	rep := &Report{Options: o, Cells: results}
-	tp, _ := topo.Build(o.Topology, o.Hosts, o.EMCs, o.PodDegree)
+	tp, _ := topo.Build(o.Cluster.Topology, o.Cluster.Hosts, o.Cluster.EMCs, o.Cluster.PodDegree)
 	rep.TopologyDesc = tp.Describe()
 	var log strings.Builder
 	logLen := 0
@@ -627,7 +314,7 @@ func assembleReport(o Options, results []CellResult, fleetLog, fleetSHA string, 
 		rep.Rollbacks = counts.Rollbacks
 		rep.Rollout = fp.Events()
 		rep.ChampionVer = fp.ChampionVer()
-		if o.CaptureModels {
+		if o.Model.Capture {
 			dump, derr := fp.SnapshotJSON()
 			if derr != nil {
 				return nil, fmt.Errorf("fleet: release-train snapshot: %w", derr)
@@ -721,15 +408,6 @@ func parseCellPrefix(s string) (int, bool) {
 	return n, true
 }
 
-// cellIndices returns [0, n).
-func cellIndices(n int) []int {
-	cells := make([]int, n)
-	for i := range cells {
-		cells[i] = i
-	}
-	return cells
-}
-
 // barrier is one synchronization point of the barriered run: every cell
 // advances to t, then the barrier work runs serially in cell order.
 type barrier struct {
@@ -755,17 +433,17 @@ func barrierSchedule(o Options, fleetScoped bool) []barrier {
 	}
 	if fleetScoped {
 		for k := 1; ; k++ {
-			t := float64(k) * o.RetrainEverySec
-			if t >= o.DurationSec {
+			t := float64(k) * o.Model.RetrainEverySec
+			if t >= o.Cluster.DurationSec {
 				break
 			}
 			add(t, true, false)
 		}
 	}
-	if o.ElasticPool {
+	if o.Capacity.Elastic {
 		for k := 1; ; k++ {
-			t := float64(k) * o.PlanEverySec
-			if t >= o.DurationSec {
+			t := float64(k) * o.Capacity.PlanEverySec
+			if t >= o.Cluster.DurationSec {
 				break
 			}
 			add(t, false, true)
@@ -943,8 +621,8 @@ type cellSim struct {
 	// Capacity loop: ctrl is the elastic controller (nil when off);
 	// demandEpoch the distribution since the last planning barrier,
 	// demandTotal the whole-run one; staticPoolGB is the capacity
-	// actually provisioned at build time (o.PoolGB rounded down to the
-	// per-EMC share — the savings baseline); poolGB caches the manager's
+	// actually provisioned at build time (o.Cluster.PoolGB rounded down to
+	// the per-EMC share — the savings baseline); poolGB caches the manager's
 	// active capacity so per-event accounting never rescans devices;
 	// savedGBSec integrates (static - actual) capacity over time;
 	// lastFallbacks marks the scheduler's fallback counter at the last
@@ -985,20 +663,20 @@ type cellSim struct {
 func newCellSim(cell int, o Options, insens predict.Insensitivity, threshold float64, r *stats.Rand) (*cellSim, error) {
 	c := &cellSim{cell: cell, o: o, insens: insens, res: CellResult{Cell: cell}}
 
-	tp, err := topo.Build(o.Topology, o.Hosts, o.EMCs, o.PodDegree)
+	tp, err := topo.Build(o.Cluster.Topology, o.Cluster.Hosts, o.Cluster.EMCs, o.Cluster.PodDegree)
 	if err != nil {
 		return nil, err
 	}
 	c.tp = tp
-	perEMC := o.PoolGB / o.EMCs
-	c.devices = make([]*emc.Device, o.EMCs)
+	perEMC := o.Cluster.PoolGB / o.Cluster.EMCs
+	c.devices = make([]*emc.Device, o.Cluster.EMCs)
 	for i := range c.devices {
-		c.devices[i] = emc.NewDevice(fmt.Sprintf("c%d-emc%d", cell, i), perEMC, o.Hosts)
+		c.devices[i] = emc.NewDevice(fmt.Sprintf("c%d-emc%d", cell, i), perEMC, o.Cluster.Hosts)
 	}
 	c.manager = pool.NewManagerTopo(c.devices, tp.Conn(), r.Fork(2))
-	c.spec = cluster.ServerSpec{Sockets: 2, CoresPerSock: o.CoresPerSocket, MemGBPerSock: o.MemGBPerSocket}
-	c.ratio = cxl.PondLatencyRatio(o.Hosts * 2)
-	c.hosts = make([]*host.Host, o.Hosts)
+	c.spec = cluster.ServerSpec{Sockets: 2, CoresPerSock: coresPerSocket, MemGBPerSock: memGBPerSocket}
+	c.ratio = cxl.PondLatencyRatio(o.Cluster.Hosts * 2)
+	c.hosts = make([]*host.Host, o.Cluster.Hosts)
 	for i := range c.hosts {
 		// The fleet loop never boots guests from placements, so the
 		// per-VM guest topology is skipped (see host.Config).
@@ -1007,11 +685,11 @@ func newCellSim(cell int, o Options, insens predict.Insensitivity, threshold flo
 	c.store = telemetry.NewStore()
 	pcfg := core.DefaultConfig()
 	pcfg.Ratio = c.ratio
-	pcfg.PDM = o.PDM
-	pcfg.TP = o.TP
+	pcfg.PDM = qosPDM
+	pcfg.TP = qosTP
 	pcfg.InsensScoreThreshold = threshold
 	var um predict.Untouched
-	if o.Predictions {
+	if !o.Model.Disabled {
 		um = predict.HistoryQuantileUM{}
 	}
 	c.pipe = core.NewPipeline(pcfg, insens, um, c.store)
@@ -1023,21 +701,21 @@ func newCellSim(cell int, o Options, insens predict.Insensitivity, threshold flo
 	// and retrained fleets report the same prediction-error metrics.
 	// Under fleet scope the barrier loop attaches a fleetpipeline
 	// Collector instead, after construction.
-	if o.Predictions {
+	if !o.Model.Disabled {
 		c.srv = predict.NewServer(insens, um)
 		c.pipe.UseServer(c.srv)
-		if o.ModelScope != ScopeFleet {
+		if o.Model.Scope != ScopeFleet {
 			mcfg := mlops.DefaultConfig()
-			mcfg.PromoteMargin = o.PromoteMargin
-			if o.HoldoutWindow > 0 {
-				mcfg.HoldoutWindow = o.HoldoutWindow
+			mcfg.PromoteMargin = o.Model.PromoteMargin
+			if o.Model.HoldoutWindow > 0 {
+				mcfg.HoldoutWindow = o.Model.HoldoutWindow
 			}
-			if o.MinTrainRows > 0 {
-				mcfg.MinTrainRows = o.MinTrainRows
+			if o.Model.MinTrainRows > 0 {
+				mcfg.MinTrainRows = o.Model.MinTrainRows
 			}
-			mcfg.Seed = stats.ShardSeed(o.Seed, cell)
+			mcfg.Seed = stats.ShardSeed(o.Engine.Seed, cell)
 			c.mgr = mlops.NewManager(mcfg, cell, c.srv, insens, threshold, um,
-				c.ratio, o.PDM, c.pipe.SetInsensThreshold)
+				c.ratio, qosPDM, c.pipe.SetInsensThreshold)
 			c.pipe.SetShadowHook(c.mgr.ObserveDecision)
 		}
 	}
@@ -1060,41 +738,41 @@ func newCellSim(cell int, o Options, insens predict.Insensitivity, threshold flo
 		c.pushSeq(event{at: c.arrivals[i].ArrivalSec, kind: evArrive, idx: i}, i)
 	}
 	for i, inj := range o.Injections {
-		c.pushSeq(event{at: inj.AtSec, kind: evInject, idx: i}, seqInjectBand+i)
+		c.pushSeq(event{at: inj.atSec, kind: evInject, idx: i}, seqInjectBand+i)
 	}
-	if c.mgr != nil && o.RetrainEverySec > 0 {
+	if c.mgr != nil && o.Model.RetrainEverySec > 0 {
 		k := 0
-		for t := o.RetrainEverySec; t <= o.DurationSec; t += o.RetrainEverySec {
+		for t := o.Model.RetrainEverySec; t <= o.Cluster.DurationSec; t += o.Model.RetrainEverySec {
 			c.pushSeq(event{at: t, kind: evRetrain}, seqRetrainBand+k)
 			k++
 		}
 	}
 
 	c.running = make(map[cluster.VMID]*runningVM)
-	c.totalCores = float64(o.Hosts * c.spec.TotalCores())
+	c.totalCores = float64(o.Cluster.Hosts * c.spec.TotalCores())
 
 	c.demandEpoch = capacity.NewDemand()
 	c.demandTotal = capacity.NewDemand()
-	// perEMC rounds down, so the provisioned capacity — not o.PoolGB —
+	// perEMC rounds down, so the provisioned capacity — not o.Cluster.PoolGB —
 	// is the savings baseline; using the requested figure would bank
 	// phantom savings whenever PoolGB does not divide across the EMCs.
-	c.staticPoolGB = perEMC * o.EMCs
+	c.staticPoolGB = perEMC * o.Cluster.EMCs
 	c.poolGB = c.staticPoolGB
-	if o.ElasticPool {
+	if o.Capacity.Elastic {
 		// Floor at one slice per EMC so no topology pod ever goes dark.
 		c.ctrl = capacity.NewController(capacity.ControllerConfig{
-			TargetQoS: o.TargetQoS,
+			TargetQoS: o.Capacity.TargetQoS,
 			SliceGB:   emc.SliceGB,
-			MinPoolGB: o.EMCs * emc.SliceGB,
+			MinPoolGB: o.Cluster.EMCs * emc.SliceGB,
 		})
 	}
-	if o.MetricsEverySec > 0 {
+	if o.Engine.MetricsEverySec > 0 {
 		// The ring is preallocated here so steady-state sampling writes
 		// into existing rows and never allocates (sample 1 fires at the
 		// cadence, not at t=0 — an all-zero row says nothing).
-		c.metricsEvery = o.MetricsEverySec
+		c.metricsEvery = o.Engine.MetricsEverySec
 		c.sampleK = 1
-		c.ring = make([]MetricsRow, metricsRingCap(o.DurationSec, o.MetricsEverySec))
+		c.ring = make([]MetricsRow, metricsRingCap(o.Cluster.DurationSec, o.Engine.MetricsEverySec))
 	}
 	return c, nil
 }
@@ -1142,23 +820,21 @@ func (c *cellSim) pushSeq(ev event, seq int) {
 	c.q.up(len(c.q) - 1)
 }
 
-// liveInject schedules an injection added mid-run through the Runner.
-// The injection is appended to the cell's own copy of the injection
-// list — index order is the determinism contract: the equivalent batch
-// run lists live injections after the scheduled ones, in the order they
-// were added — and enqueued with the exact banded sequence number a
-// batch-scheduled injection at that index would have carried. Drift and
-// surge are baked into the pre-generated arrival stream, so those two
-// kinds also regenerate it.
-func (c *cellSim) liveInject(in Injection, now float64) {
-	idx := len(c.o.Injections)
-	// Full-slice append: the seeded Options share one backing array
-	// across every cell's copy, so an in-place grow from one cell could
-	// be observed by another. Forcing a fresh allocation keeps each
-	// cell's list independent.
-	c.o.Injections = append(c.o.Injections[:idx:idx], in)
-	c.pushSeq(event{at: in.AtSec, kind: evInject, idx: idx}, seqInjectBand+idx)
-	if in.Kind == InjectDrift || in.Kind == InjectSurge {
+// liveInject schedules the injection a Runner appended mid-run: o is
+// the run's options with it as the last entry — index order is the
+// determinism contract: the equivalent batch run lists live injections
+// after the scheduled ones, in the order they were added. The cell
+// adopts o (the list is shared read-only; the Runner only ever grows it
+// by full-slice append into a fresh array) and enqueues the injection
+// with the exact banded sequence number a batch-scheduled injection at
+// that index would have carried. Drift and surge are baked into the
+// pre-generated arrival stream, so those two kinds also regenerate it.
+func (c *cellSim) liveInject(o Options, now float64) {
+	c.o = o
+	idx := len(o.Injections) - 1
+	in := o.Injections[idx]
+	c.pushSeq(event{at: in.atSec, kind: evInject, idx: idx}, seqInjectBand+idx)
+	if in.kind == InjectDrift || in.kind == InjectSurge {
 		c.regenerateArrivals(now)
 	}
 }
@@ -1350,7 +1026,7 @@ func (c *cellSim) planTick(now float64) {
 		PoolGB:      cur,
 		TargetGB:    target,
 		PeakGB:      c.demandEpoch.PeakGB(),
-		QGB:         c.demandEpoch.QuantileGB(1 - c.o.TargetQoS),
+		QGB:         c.demandEpoch.QuantileGB(1 - c.o.Capacity.TargetQoS),
 		Fallbacks:   fallbacks,
 		AttemptedGB: c.attemptGB,
 	}
@@ -1445,7 +1121,7 @@ func (c *cellSim) runUntil(tEnd float64, final bool) error {
 				return fmt.Errorf("cell %d: release vm %d: %w", c.cell, ev.vm, rerr)
 			}
 			c.store.RecordOutcome(p.VM.Customer, now, p.VM.GroundTruth.UntouchedFrac)
-			if o.Predictions {
+			if !o.Model.Disabled {
 				// Departure is when the QoS monitor's verdict is final:
 				// ground truth turns the decision into an outcome, and
 				// flagged customers skip the all-pool path from now on.
@@ -1472,15 +1148,15 @@ func (c *cellSim) runUntil(tEnd float64, final bool) error {
 
 		case evInject:
 			inj := o.Injections[ev.idx]
-			switch inj.Kind {
+			switch inj.kind {
 			case InjectEMCFail:
-				c.devices[inj.EMC].Fail()
+				c.devices[inj.emc].Fail()
 				// Blast radius: every running VM with slices on the dead
 				// device, released in id order.
 				var blast []cluster.VMID
 				for id, st := range c.running {
 					for _, ref := range hostSlices(c.hosts[st.host], id) {
-						if ref.EMC == inj.EMC {
+						if ref.EMC == inj.emc {
 							blast = append(blast, id)
 							break
 						}
@@ -1500,7 +1176,7 @@ func (c *cellSim) runUntil(tEnd float64, final bool) error {
 					// other EMCs drain back through the manager.
 					var alive []pool.SliceRef
 					for _, ref := range p.Slices {
-						if ref.EMC != inj.EMC {
+						if ref.EMC != inj.emc {
 							alive = append(alive, ref)
 						}
 					}
@@ -1519,10 +1195,10 @@ func (c *cellSim) runUntil(tEnd float64, final bool) error {
 				}
 				c.res.BlastVMs += len(blast)
 				c.logf(now, "inject emc-fail emc=%d blast-hosts=%d blast-vms=%d lost-gb=%g",
-					inj.EMC, c.tp.BlastRadiusHosts(inj.EMC), len(blast), lostGB)
+					inj.emc, c.tp.BlastRadiusHosts(inj.emc), len(blast), lostGB)
 
 			case InjectHostDrain:
-				migrations, remaining, derr := c.sched.DrainHost(inj.Host, now)
+				migrations, remaining, derr := c.sched.DrainHost(inj.host, now)
 				if derr != nil {
 					return derr
 				}
@@ -1532,19 +1208,19 @@ func (c *cellSim) runUntil(tEnd float64, final bool) error {
 					}
 				}
 				c.res.Migrated += len(migrations)
-				c.logf(now, "inject host-drain host=%d migrated=%d remaining=%d", inj.Host, len(migrations), len(remaining))
+				c.logf(now, "inject host-drain host=%d migrated=%d remaining=%d", inj.host, len(migrations), len(remaining))
 
 			case InjectSurge:
-				c.logf(now, "inject surge x=%g dur=%g", inj.Factor, inj.DurSec)
+				c.logf(now, "inject surge x=%g dur=%g", inj.factor, inj.durSec)
 
 			case InjectResize:
 				applied := 0
-				if inj.Slices > 0 {
-					if gerr := c.manager.GrowEMC(inj.EMC, inj.Slices*emc.SliceGB); gerr == nil {
-						applied = inj.Slices
+				if inj.slices > 0 {
+					if gerr := c.manager.GrowEMC(inj.emc, inj.slices*emc.SliceGB); gerr == nil {
+						applied = inj.slices
 					} // a failed EMC grows nothing; applied stays 0
 				} else {
-					gb, serr := c.manager.ShrinkEMC(inj.EMC, -inj.Slices*emc.SliceGB, now)
+					gb, serr := c.manager.ShrinkEMC(inj.emc, -inj.slices*emc.SliceGB, now)
 					if serr != nil {
 						return fmt.Errorf("cell %d: resize: %w", c.cell, serr)
 					}
@@ -1552,17 +1228,17 @@ func (c *cellSim) runUntil(tEnd float64, final bool) error {
 				}
 				c.poolGB = c.manager.PoolGB()
 				c.logf(now, "inject resize emc=%d slices=%+d applied=%+d pool=%d",
-					inj.EMC, inj.Slices, applied, c.poolGB)
+					inj.emc, inj.slices, applied, c.poolGB)
 
 			case InjectDrift:
 				// The population shift itself happened in the arrival
 				// stream; this marks the moment in the event log —
 				// regional drifts record whether this cell is in range.
-				if inj.CellHi >= 0 {
+				if inj.cellHi >= 0 {
 					c.logf(now, "inject drift mag=%g cells=%d-%d applied=%t",
-						inj.Mag, inj.CellLo, inj.CellHi, inj.AppliesTo(c.cell))
+						inj.mag, inj.cellLo, inj.cellHi, inj.AppliesTo(c.cell))
 				} else {
-					c.logf(now, "inject drift mag=%g", inj.Mag)
+					c.logf(now, "inject drift mag=%g", inj.mag)
 				}
 			}
 
@@ -1573,6 +1249,14 @@ func (c *cellSim) runUntil(tEnd float64, final bool) error {
 		}
 	}
 	c.sampleMetricsUpTo(tEnd, final)
+	if final {
+		// The horizon slice consumed every arrival, and nothing reads the
+		// stream afterwards: AddInjection refuses a done run, finish and
+		// Progress read res.Arrivals, and a restore regenerates the stream
+		// from its fork seed. Release it instead of holding it until
+		// Finish.
+		c.arrivals = nil
+	}
 	return nil
 }
 
@@ -1580,11 +1264,11 @@ func (c *cellSim) runUntil(tEnd float64, final bool) error {
 // returns the cell's result.
 func (c *cellSim) finish() (CellResult, error) {
 	o := c.o
-	c.account(o.DurationSec)
+	c.account(o.Cluster.DurationSec)
 
-	if o.DurationSec > 0 {
-		c.res.AvgCoreUtil = c.utilSec / o.DurationSec
-		c.res.AvgStrandedGB = c.strandedGBSec / o.DurationSec
+	if o.Cluster.DurationSec > 0 {
+		c.res.AvgCoreUtil = c.utilSec / o.Cluster.DurationSec
+		c.res.AvgStrandedGB = c.strandedGBSec / o.Cluster.DurationSec
 	}
 	if c.placedGB > 0 {
 		c.res.PoolShare = c.placedPoolGB / c.placedGB
@@ -1596,14 +1280,14 @@ func (c *cellSim) finish() (CellResult, error) {
 		c.res.PredErrMean, c.res.PredErrFinal = q.UMLossMean, q.UMLossFinal
 		c.res.InsensErrMean = q.InsensLossMean
 		c.res.Lifecycle = c.mgr.Events()
-		if o.CaptureModels {
+		if o.Model.Capture {
 			dump, derr := c.mgr.SnapshotJSON()
 			if derr != nil {
 				return c.res, fmt.Errorf("cell %d: model snapshot: %w", c.cell, derr)
 			}
 			c.res.ModelDump = dump
 		}
-		c.logf(o.DurationSec, "mlops summary retrains=%d promotions=%d demotions=%d um-ver=%d insens-ver=%d pred-err=%.4f pred-err-final=%.4f insens-err=%.4f",
+		c.logf(o.Cluster.DurationSec, "mlops summary retrains=%d promotions=%d demotions=%d um-ver=%d insens-ver=%d pred-err=%.4f pred-err-final=%.4f insens-err=%.4f",
 			q.Retrains, q.Promotions, q.Demotions, q.UMChampVer, q.InsensChampVer,
 			q.UMLossMean, q.UMLossFinal, q.InsensLossMean)
 	}
@@ -1612,12 +1296,12 @@ func (c *cellSim) finish() (CellResult, error) {
 		c.res.UMChampVer = q.ServeVer
 		c.res.PredErrMean, c.res.PredErrFinal = q.ServeLossMean, q.ServeLossFinal
 		c.res.InsensErrMean = q.InsensLossMean
-		c.logf(o.DurationSec, "fleetpipeline cell summary serve-ver=%d pred-err=%.4f pred-err-final=%.4f insens-err=%.4f",
+		c.logf(o.Cluster.DurationSec, "fleetpipeline cell summary serve-ver=%d pred-err=%.4f pred-err-final=%.4f insens-err=%.4f",
 			q.ServeVer, q.ServeLossMean, q.ServeLossFinal, q.InsensLossMean)
 	}
 	c.res.FinalPoolGB = c.poolGB
-	if o.DurationSec > 0 {
-		c.res.DRAMSavedGB = c.savedGBSec / o.DurationSec
+	if o.Cluster.DurationSec > 0 {
+		c.res.DRAMSavedGB = c.savedGBSec / o.Cluster.DurationSec
 	}
 	if c.ringLen > 0 {
 		c.res.Series = c.drainMetricsInto(c.res.Series)
@@ -1628,11 +1312,11 @@ func (c *cellSim) finish() (CellResult, error) {
 	if qs := c.store.UntouchedQuantiles(0.5, 0.9); qs != nil {
 		c.res.UntouchedP50, c.res.UntouchedP90 = qs[0], qs[1]
 	}
-	if o.ElasticPool || c.poolGB != c.staticPoolGB {
-		c.logf(o.DurationSec, "elastic summary plans=%d final-pool=%d dram-saved=%.2f fallbacks=%d",
+	if o.Capacity.Elastic || c.poolGB != c.staticPoolGB {
+		c.logf(o.Cluster.DurationSec, "elastic summary plans=%d final-pool=%d dram-saved=%.2f fallbacks=%d",
 			len(c.res.Plans), c.poolGB, c.res.DRAMSavedGB, c.res.Fallbacks)
 	}
-	c.logf(o.DurationSec, "summary arrivals=%d placed=%d rejected=%d departed=%d blast-vms=%d migrated=%d qos=%d util=%.3f stranded=%.3f pool-share=%.4f",
+	c.logf(o.Cluster.DurationSec, "summary arrivals=%d placed=%d rejected=%d departed=%d blast-vms=%d migrated=%d qos=%d util=%.3f stranded=%.3f pool-share=%.4f",
 		c.res.Arrivals, c.res.Placed, c.res.Rejected, c.res.Departed, c.res.BlastVMs, c.res.Migrated,
 		c.res.QoSViolations, c.res.AvgCoreUtil, c.res.AvgStrandedGB, c.res.PoolShare)
 	c.res.Log = c.log.String()

@@ -14,13 +14,13 @@ import (
 // few hundred milliseconds of wall clock.
 func testOptions() Options {
 	o := DefaultOptions()
-	o.Cells = 3
-	o.Hosts = 4
-	o.EMCs = 4
-	o.PoolGB = 64
-	o.DurationSec = 400
-	o.Arrival = ArrivalModel{Kind: ArrivalPoisson, RatePerSec: 0.1, MeanLifetimeSec: 200}
-	o.Predictions = false // skip forest training in the fast tier
+	o.Cluster.Cells = 3
+	o.Cluster.Hosts = 4
+	o.Cluster.EMCs = 4
+	o.Cluster.PoolGB = 64
+	o.Cluster.DurationSec = 400
+	o.Arrivals = ArrivalOpts{Process: ArrivalPoisson, RatePerSec: 0.1, MeanLifetimeSec: 200}
+	o.Model.Disabled = true // skip forest training in the fast tier
 	return o
 }
 
@@ -36,7 +36,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	var hashes []string
 	for _, workers := range []int{1, 3, 8} {
 		o := base
-		o.Workers = workers
+		o.Engine.Workers = workers
 		rep, err := Run(context.Background(), o)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -63,7 +63,7 @@ func TestRunSeedChangesLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Seed = 99
+	o.Engine.Seed = 99
 	b, err := Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestEMCFailBoundsBlastRadiusByTopology(t *testing.T) {
 	// Under sharded, EMC 0 serves exactly hosts 0..Hosts/EMCs-1; the
 	// blast-hosts count in the log must reflect that, not the full fleet.
 	o := testOptions()
-	o.Topology = "sharded"
+	o.Cluster.Topology = "sharded"
 	var err error
 	o.Injections, err = ParseInjections("emc-fail@t=200")
 	if err != nil {
@@ -126,8 +126,8 @@ func TestEMCFailBoundsBlastRadiusByTopology(t *testing.T) {
 
 func TestTraceArrivals(t *testing.T) {
 	o := testOptions()
-	o.Arrival = ArrivalModel{Kind: ArrivalTrace}
-	o.DurationSec = 2000
+	o.Arrivals = ArrivalOpts{Process: ArrivalTrace}
+	o.Cluster.DurationSec = 2000
 	rep, err := Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -144,14 +144,14 @@ func TestTopologiesDifferInOutcome(t *testing.T) {
 	// Flat and sharded connectivity must produce different pool behaviour
 	// for the same stream once pool memory is scarce.
 	o := testOptions()
-	o.Predictions = true
-	o.PoolGB = 16
-	o.Arrival.RatePerSec = 0.2
+	o.Model.Disabled = false
+	o.Cluster.PoolGB = 16
+	o.Arrivals.RatePerSec = 0.2
 	flat, err := Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Topology = "sharded"
+	o.Cluster.Topology = "sharded"
 	sharded, err := Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -163,19 +163,19 @@ func TestTopologiesDifferInOutcome(t *testing.T) {
 
 func TestNormalizeRejectsBadOptions(t *testing.T) {
 	o := DefaultOptions()
-	o.Topology = "moebius"
+	o.Cluster.Topology = "moebius"
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("unknown topology should fail")
 	}
 
 	o = DefaultOptions()
-	o.Injections = []Injection{{Kind: InjectEMCFail, AtSec: 1, EMC: 99}}
+	o.Injections = []Injection{{kind: InjectEMCFail, atSec: 1, emc: 99}}
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("out-of-range EMC injection should fail")
 	}
 
 	o = DefaultOptions()
-	o.Injections = []Injection{{Kind: InjectHostDrain, AtSec: 1, Host: 99}}
+	o.Injections = []Injection{{kind: InjectHostDrain, atSec: 1, host: 99}}
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("out-of-range host injection should fail")
 	}
@@ -198,7 +198,7 @@ func TestParseArrival(t *testing.T) {
 	if m.RatePerSec != 0.5 || m.MeanLifetimeSec != 120 {
 		t.Fatalf("parsed %+v", m)
 	}
-	if m2, err := ParseArrival(""); err != nil || m2 != DefaultArrival() {
+	if m2, err := ParseArrival(""); err != nil || m2 != DefaultOptions().Arrivals {
 		t.Fatalf("empty spec should be the default, got %+v (%v)", m2, err)
 	}
 	if _, err := ParseArrival("uniform"); err == nil {
@@ -223,13 +223,13 @@ func TestParseInjections(t *testing.T) {
 	if len(ins) != 3 {
 		t.Fatalf("parsed %d injections", len(ins))
 	}
-	if ins[0].Kind != InjectEMCFail || ins[0].AtSec != 500 || ins[0].EMC != 0 {
+	if ins[0].kind != InjectEMCFail || ins[0].atSec != 500 || ins[0].emc != 0 {
 		t.Fatalf("emc-fail parsed as %+v", ins[0])
 	}
-	if ins[1].Host != 2 {
+	if ins[1].host != 2 {
 		t.Fatalf("host-drain parsed as %+v", ins[1])
 	}
-	if ins[2].DurSec != 200 || ins[2].Factor != 3 {
+	if ins[2].durSec != 200 || ins[2].factor != 3 {
 		t.Fatalf("surge parsed as %+v", ins[2])
 	}
 	for _, bad := range []string{
@@ -252,7 +252,7 @@ func TestInjectionBeyondHorizonRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.DurationSec = 400
+	o.Cluster.DurationSec = 400
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("injection after the horizon should be rejected")
 	}
@@ -264,7 +264,7 @@ func TestEMCFailStopsServingCapacity(t *testing.T) {
 	// overkill; just assert the run completes and blast VMs were lost
 	// while later placements still succeed.
 	o := testOptions()
-	o.Predictions = true
+	o.Model.Disabled = false
 	var err error
 	o.Injections, err = ParseInjections("emc-fail@t=100")
 	if err != nil {
@@ -281,27 +281,27 @@ func TestEMCFailStopsServingCapacity(t *testing.T) {
 
 func TestNormalizeRejectsNegativeInjectionTargets(t *testing.T) {
 	o := testOptions()
-	o.Injections = []Injection{{Kind: InjectEMCFail, AtSec: 1, EMC: -1}}
+	o.Injections = []Injection{{kind: InjectEMCFail, atSec: 1, emc: -1}}
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("negative EMC index should fail, not panic mid-run")
 	}
 	o = testOptions()
-	o.Injections = []Injection{{Kind: InjectHostDrain, AtSec: 1, Host: -1}}
+	o.Injections = []Injection{{kind: InjectHostDrain, atSec: 1, host: -1}}
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("negative host index should fail")
 	}
 }
 
 func TestNormalizeKeepsPartialArrival(t *testing.T) {
-	// Setting only RatePerSec (Kind left empty) must not be silently
+	// Setting only RatePerSec (Process left empty) must not be silently
 	// reset to the default rate.
 	o := testOptions()
-	o.Arrival = ArrivalModel{RatePerSec: 0.3}
+	o.Arrivals = ArrivalOpts{RatePerSec: 0.3}
 	rep, err := Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Options.Arrival; got.Kind != ArrivalPoisson || got.RatePerSec != 0.3 {
+	if got := rep.Options.Arrivals; got.Process != ArrivalPoisson || got.RatePerSec != 0.3 {
 		t.Fatalf("normalized arrival = %+v, want poisson at rate 0.3", got)
 	}
 }
@@ -310,15 +310,15 @@ func TestNormalizeKeepsPartialArrival(t *testing.T) {
 // mid-run tenant-population shift with the lifecycle loop enabled.
 func retrainOptions() Options {
 	o := DefaultOptions()
-	o.Cells = 2
-	o.Hosts = 4
-	o.EMCs = 4
-	o.PoolGB = 128
-	o.DurationSec = 6000
-	o.Seed = 2
-	o.Arrival = ArrivalModel{Kind: ArrivalPoisson, RatePerSec: 0.15, MeanLifetimeSec: 300}
-	o.Predictions = true
-	o.RetrainEverySec = 400
+	o.Cluster.Cells = 2
+	o.Cluster.Hosts = 4
+	o.Cluster.EMCs = 4
+	o.Cluster.PoolGB = 128
+	o.Cluster.DurationSec = 6000
+	o.Engine.Seed = 2
+	o.Arrivals = ArrivalOpts{Process: ArrivalPoisson, RatePerSec: 0.15, MeanLifetimeSec: 300}
+	o.Model.Disabled = false
+	o.Model.RetrainEverySec = 400
 	inj, err := ParseInjections("drift@t=2500:mag=0.6")
 	if err != nil {
 		panic(err)
@@ -332,13 +332,13 @@ func TestRetrainDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Skip("retrain determinism needs the full horizon; covered in the full tier")
 	}
 	base := retrainOptions()
-	base.DurationSec = 3000
-	base.Injections[0].AtSec = 1500
+	base.Cluster.DurationSec = 3000
+	base.Injections[0].atSec = 1500
 
 	var logs, hashes []string
 	for _, workers := range []int{1, 3, 8} {
 		o := base
-		o.Workers = workers
+		o.Engine.Workers = workers
 		rep, err := Run(context.Background(), o)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -365,7 +365,7 @@ func TestDriftRetrainingBeatsFrozenModels(t *testing.T) {
 	}
 	o := retrainOptions()
 	frozen := o
-	frozen.RetrainEverySec = 0
+	frozen.Model.RetrainEverySec = 0
 	fr, err := Run(context.Background(), frozen)
 	if err != nil {
 		t.Fatal(err)
@@ -427,8 +427,8 @@ func TestDriftInjectionShiftsArrivals(t *testing.T) {
 
 func TestDriftAppliesToTraceArrivals(t *testing.T) {
 	o := testOptions()
-	o.Arrival = ArrivalModel{Kind: ArrivalTrace}
-	o.DurationSec = 2000
+	o.Arrivals = ArrivalOpts{Process: ArrivalTrace}
+	o.Cluster.DurationSec = 2000
 	base, err := Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -447,21 +447,21 @@ func TestDriftAppliesToTraceArrivals(t *testing.T) {
 }
 
 func TestRetrainRequiresPredictions(t *testing.T) {
-	o := testOptions() // Predictions: false
-	o.RetrainEverySec = 100
+	o := testOptions() // predictions disabled
+	o.Model.RetrainEverySec = 100
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("retraining without predictions should be rejected")
 	}
 	o = testOptions()
-	o.Predictions = true
-	o.RetrainEverySec = -5
+	o.Model.Disabled = false
+	o.Model.RetrainEverySec = -5
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("negative retrain interval should be rejected")
 	}
 	o = testOptions()
-	o.Predictions = true
-	o.RetrainEverySec = 100
-	o.PromoteMargin = 1.5
+	o.Model.Disabled = false
+	o.Model.RetrainEverySec = 100
+	o.Model.PromoteMargin = 1.5
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("promotion margin >= 1 should be rejected")
 	}
@@ -469,18 +469,18 @@ func TestRetrainRequiresPredictions(t *testing.T) {
 
 func TestCaptureModelsDumpsSnapshots(t *testing.T) {
 	o := testOptions()
-	o.Predictions = true
-	o.DurationSec = 800
-	o.Arrival.RatePerSec = 0.2
-	o.RetrainEverySec = 200
-	o.MinTrainRows = 16
-	o.CaptureModels = true
+	o.Model.Disabled = false
+	o.Cluster.DurationSec = 800
+	o.Arrivals.RatePerSec = 0.2
+	o.Model.RetrainEverySec = 200
+	o.Model.MinTrainRows = 16
+	o.Model.Capture = true
 	rep, err := Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.ModelDumps) != o.Cells {
-		t.Fatalf("got %d model dumps for %d cells", len(rep.ModelDumps), o.Cells)
+	if len(rep.ModelDumps) != o.Cluster.Cells {
+		t.Fatalf("got %d model dumps for %d cells", len(rep.ModelDumps), o.Cluster.Cells)
 	}
 	var snaps []map[string]any
 	if err := json.Unmarshal(rep.ModelDumps[0], &snaps); err != nil {
@@ -499,16 +499,16 @@ func TestCaptureModelsDumpsSnapshots(t *testing.T) {
 // 400 s cadence.
 func fleetScopeOptions() Options {
 	o := DefaultOptions()
-	o.Cells = 4
-	o.Hosts = 4
-	o.EMCs = 4
-	o.PoolGB = 128
-	o.DurationSec = 6000
-	o.Seed = 2
-	o.Arrival = ArrivalModel{Kind: ArrivalPoisson, RatePerSec: 0.15, MeanLifetimeSec: 300}
-	o.Predictions = true
-	o.RetrainEverySec = 400
-	o.ModelScope = ScopeFleet
+	o.Cluster.Cells = 4
+	o.Cluster.Hosts = 4
+	o.Cluster.EMCs = 4
+	o.Cluster.PoolGB = 128
+	o.Cluster.DurationSec = 6000
+	o.Engine.Seed = 2
+	o.Arrivals = ArrivalOpts{Process: ArrivalPoisson, RatePerSec: 0.15, MeanLifetimeSec: 300}
+	o.Model.Disabled = false
+	o.Model.RetrainEverySec = 400
+	o.Model.Scope = ScopeFleet
 	return o
 }
 
@@ -529,7 +529,7 @@ func TestStagedRolloutContainsBadChallengerUnderRegionalDrift(t *testing.T) {
 	var reps []*Report
 	for _, workers := range []int{1, 4, 8} {
 		o := base
-		o.Workers = workers
+		o.Engine.Workers = workers
 		rep, rerr := Run(context.Background(), o)
 		if rerr != nil {
 			t.Fatalf("workers=%d: %v", workers, rerr)
@@ -633,7 +633,7 @@ func TestFleetScopeNoWorseThanCellScopeUnderUniformDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := fleetScopeOptions()
-	cell.ModelScope = ScopeCell
+	cell.Model.Scope = ScopeCell
 	cell.Injections = inj
 	cr, err := Run(context.Background(), cell)
 	if err != nil {
@@ -669,13 +669,13 @@ func TestFleetScopeSmoke(t *testing.T) {
 	// Short-tier sanity: the barrier loop runs, pins appear in the log,
 	// and the fleet summary line lands at the end of the event log.
 	o := testOptions()
-	o.Predictions = true
-	o.DurationSec = 800
-	o.Arrival.RatePerSec = 0.2
-	o.RetrainEverySec = 200
-	o.MinTrainRows = 16
-	o.ModelScope = ScopeFleet
-	o.CaptureModels = true
+	o.Model.Disabled = false
+	o.Cluster.DurationSec = 800
+	o.Arrivals.RatePerSec = 0.2
+	o.Model.RetrainEverySec = 200
+	o.Model.MinTrainRows = 16
+	o.Model.Scope = ScopeFleet
+	o.Model.Capture = true
 	rep, err := Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -710,40 +710,40 @@ func TestFleetScopeSmoke(t *testing.T) {
 }
 
 func TestFleetScopeValidation(t *testing.T) {
-	o := testOptions() // Predictions: false
-	o.ModelScope = ScopeFleet
-	o.Predictions = true
+	o := testOptions() // predictions disabled
+	o.Model.Scope = ScopeFleet
+	o.Model.Disabled = false
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("fleet scope without retraining should be rejected")
 	}
 	o = testOptions()
-	o.Predictions = true
-	o.RetrainEverySec = 100
-	o.ModelScope = "galaxy"
+	o.Model.Disabled = false
+	o.Model.RetrainEverySec = 100
+	o.Model.Scope = "galaxy"
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("unknown model scope should be rejected")
 	}
 	o = testOptions()
-	o.Predictions = true
-	o.RetrainEverySec = 100
-	o.ModelScope = ScopeFleet
-	o.CanaryFraction = 1.5
+	o.Model.Disabled = false
+	o.Model.RetrainEverySec = 100
+	o.Model.Scope = ScopeFleet
+	o.Model.CanaryFraction = 1.5
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("canary fraction > 1 should be rejected")
 	}
 	o = testOptions()
-	o.Predictions = true
-	o.RetrainEverySec = 100
-	o.ModelScope = ScopeFleet
-	o.BakeWindowSec = -1
+	o.Model.Disabled = false
+	o.Model.RetrainEverySec = 100
+	o.Model.Scope = ScopeFleet
+	o.Model.BakeWindowSec = -1
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("negative bake window should be rejected")
 	}
 	// Rollout knobs under cell scope are a configuration mistake.
 	o = testOptions()
-	o.Predictions = true
-	o.RetrainEverySec = 100
-	o.CanaryFraction = 0.5
+	o.Model.Disabled = false
+	o.Model.RetrainEverySec = 100
+	o.Model.CanaryFraction = 0.5
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("canary fraction under cell scope should be rejected")
 	}
@@ -754,7 +754,7 @@ func TestRegionalDriftOnlyShiftsTargetCells(t *testing.T) {
 	// leave cells 0's arrivals untouched. Predictions are on so the
 	// shifted ground truth actually reaches the decision log.
 	o := testOptions()
-	o.Predictions = true
+	o.Model.Disabled = false
 	base, err := Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -805,7 +805,7 @@ func TestParseRegionalDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ins[0].CellLo != 2 || ins[0].CellHi != 3 || ins[0].Mag != 0.6 {
+	if ins[0].cellLo != 2 || ins[0].cellHi != 3 || ins[0].mag != 0.6 {
 		t.Fatalf("regional drift parsed as %+v", ins[0])
 	}
 	if got := ins[0].String(); got != "drift@t=2000:cells=2-3:mag=0.6" {
@@ -818,13 +818,13 @@ func TestParseRegionalDrift(t *testing.T) {
 	}
 	// Single-cell form.
 	ins, err = ParseInjections("drift@t=100:cells=1")
-	if err != nil || ins[0].CellLo != 1 || ins[0].CellHi != 1 {
+	if err != nil || ins[0].cellLo != 1 || ins[0].cellHi != 1 {
 		t.Fatalf("single-cell drift parsed as %+v (%v)", ins, err)
 	}
 	// Fleet-wide drift keeps the legacy render and the all-cells
 	// sentinel.
 	ins, err = ParseInjections("drift@t=100")
-	if err != nil || ins[0].CellHi >= 0 || !ins[0].AppliesTo(7) {
+	if err != nil || ins[0].cellHi >= 0 || !ins[0].AppliesTo(7) {
 		t.Fatalf("fleet-wide drift parsed as %+v (%v)", ins, err)
 	}
 	for _, bad := range []string{
@@ -855,13 +855,13 @@ func TestParseDriftInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ins[0].Kind != InjectDrift || ins[0].AtSec != 2000 || ins[0].Mag != 0.6 {
+	if ins[0].kind != InjectDrift || ins[0].atSec != 2000 || ins[0].mag != 0.6 {
 		t.Fatalf("drift parsed as %+v", ins[0])
 	}
 	if ins[0].String() != "drift@t=2000:mag=0.6" {
 		t.Fatalf("drift renders as %q", ins[0].String())
 	}
-	if ins, err := ParseInjections("drift@t=100"); err != nil || ins[0].Mag != 0.5 {
+	if ins, err := ParseInjections("drift@t=100"); err != nil || ins[0].mag != 0.5 {
 		t.Fatalf("default drift magnitude = %+v (%v)", ins, err)
 	}
 	for _, bad := range []string{"drift@t=1:mag=0", "drift@t=1:mag=1.5", "drift@t=1:mag=-1"} {
@@ -876,7 +876,7 @@ func TestParseResizeInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ins) != 1 || ins[0].Kind != InjectResize || ins[0].EMC != 1 || ins[0].Slices != -8 {
+	if len(ins) != 1 || ins[0].kind != InjectResize || ins[0].emc != 1 || ins[0].slices != -8 {
 		t.Fatalf("parsed %+v", ins)
 	}
 	// String() round-trips, the explicit plus sign included.
@@ -884,7 +884,7 @@ func TestParseResizeInjection(t *testing.T) {
 		t.Fatalf("String() = %q", s)
 	}
 	grow, err := ParseInjections("resize@t=1:slices=+16")
-	if err != nil || grow[0].Slices != 16 {
+	if err != nil || grow[0].slices != 16 {
 		t.Fatalf("grow spec parsed as %+v (%v)", grow, err)
 	}
 	if again, err := ParseInjections(grow[0].String()); err != nil || again[0] != grow[0] {
@@ -911,37 +911,37 @@ func TestParseResizeInjection(t *testing.T) {
 func TestElasticValidation(t *testing.T) {
 	// Elastic knobs without the elastic pool are rejected.
 	o := testOptions()
-	o.PlanEverySec = 100
+	o.Capacity.PlanEverySec = 100
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("plan cadence without the elastic pool should fail")
 	}
 	o = testOptions()
-	o.TargetQoS = 0.05
+	o.Capacity.TargetQoS = 0.05
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("QoS target without the elastic pool should fail")
 	}
 	// A cadence beyond the horizon never fires.
 	o = testOptions()
-	o.ElasticPool = true
-	o.PlanEverySec = o.DurationSec
+	o.Capacity.Elastic = true
+	o.Capacity.PlanEverySec = o.Cluster.DurationSec
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("plan cadence at the horizon should fail")
 	}
 	// Out-of-domain QoS target.
 	o = testOptions()
-	o.ElasticPool = true
-	o.TargetQoS = 1.5
+	o.Capacity.Elastic = true
+	o.Capacity.TargetQoS = 1.5
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("QoS target above 1 should fail")
 	}
 	// Resize injections validate the EMC range and the delta.
 	o = testOptions()
-	o.Injections = []Injection{{Kind: InjectResize, AtSec: 1, EMC: 99, Slices: 4, CellHi: -1}}
+	o.Injections = []Injection{{kind: InjectResize, atSec: 1, emc: 99, slices: 4, cellHi: -1}}
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("out-of-range resize EMC should fail")
 	}
 	o = testOptions()
-	o.Injections = []Injection{{Kind: InjectResize, AtSec: 1, EMC: 0, Slices: 0, CellHi: -1}}
+	o.Injections = []Injection{{kind: InjectResize, atSec: 1, emc: 0, slices: 0, cellHi: -1}}
 	if _, err := Run(context.Background(), o); err == nil {
 		t.Fatal("zero-slice resize should fail")
 	}
@@ -967,7 +967,7 @@ func TestResizeInjectionChangesPool(t *testing.T) {
 		}
 	}
 	// Net +4 GB per cell at run end, and the summary reflects it.
-	wantPool := (o.PoolGB + 4) * o.Cells
+	wantPool := (o.Cluster.PoolGB + 4) * o.Cluster.Cells
 	if rep.FinalPoolGB != wantPool {
 		t.Fatalf("final pool %d GB, want %d", rep.FinalPoolGB, wantPool)
 	}
@@ -982,15 +982,15 @@ func TestResizeInjectionChangesPool(t *testing.T) {
 
 func TestElasticPoolSmokeAndDeterminism(t *testing.T) {
 	base := testOptions()
-	base.Predictions = true
-	base.Arrival.RatePerSec = 0.2
-	base.ElasticPool = true
-	base.PlanEverySec = 100
+	base.Model.Disabled = false
+	base.Arrivals.RatePerSec = 0.2
+	base.Capacity.Elastic = true
+	base.Capacity.PlanEverySec = 100
 
 	var reps []*Report
 	for _, workers := range []int{1, 3, 8} {
 		o := base
-		o.Workers = workers
+		o.Engine.Workers = workers
 		rep, err := Run(context.Background(), o)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -1011,8 +1011,8 @@ func TestElasticPoolSmokeAndDeterminism(t *testing.T) {
 	}
 	// The default pool is grossly oversized for this stream: the
 	// controller must have shrunk it and banked savings.
-	if rep.FinalPoolGB >= base.PoolGB*base.Cells {
-		t.Fatalf("final pool %d GB did not shrink below static %d", rep.FinalPoolGB, base.PoolGB*base.Cells)
+	if rep.FinalPoolGB >= base.Cluster.PoolGB*base.Cluster.Cells {
+		t.Fatalf("final pool %d GB did not shrink below static %d", rep.FinalPoolGB, base.Cluster.PoolGB*base.Cluster.Cells)
 	}
 	if rep.DRAMSavedGB <= 0 {
 		t.Fatalf("no DRAM saved: %.2f", rep.DRAMSavedGB)
@@ -1046,10 +1046,10 @@ func TestElasticPlannerSavesDRAMAtNoWorseQoS(t *testing.T) {
 		t.Skip("capacity acceptance needs the full horizon; covered in the full tier")
 	}
 	base := testOptions()
-	base.Predictions = true
-	base.Arrival = ArrivalModel{Kind: ArrivalTrace}
-	base.DurationSec = 2000
-	base.PoolGB = 128
+	base.Model.Disabled = false
+	base.Arrivals = ArrivalOpts{Process: ArrivalTrace}
+	base.Cluster.DurationSec = 2000
+	base.Cluster.PoolGB = 128
 
 	static, err := Run(context.Background(), base)
 	if err != nil {
@@ -1057,14 +1057,14 @@ func TestElasticPlannerSavesDRAMAtNoWorseQoS(t *testing.T) {
 	}
 
 	elastic := base
-	elastic.ElasticPool = true
-	elastic.PlanEverySec = 250
-	elastic.TargetQoS = 0.01
+	elastic.Capacity.Elastic = true
+	elastic.Capacity.PlanEverySec = 250
+	elastic.Capacity.TargetQoS = 0.01
 
 	var reps []*Report
 	for _, workers := range []int{1, 4, 8} {
 		o := elastic
-		o.Workers = workers
+		o.Engine.Workers = workers
 		rep, rerr := Run(context.Background(), o)
 		if rerr != nil {
 			t.Fatalf("workers=%d: %v", workers, rerr)
@@ -1089,8 +1089,8 @@ func TestElasticPlannerSavesDRAMAtNoWorseQoS(t *testing.T) {
 		t.Fatalf("elastic pool worsened admission: %d rejections vs static %d",
 			rep.Rejected, static.Rejected)
 	}
-	if rep.FinalPoolGB >= base.PoolGB*base.Cells {
-		t.Fatalf("final pool %d GB not below static %d", rep.FinalPoolGB, base.PoolGB*base.Cells)
+	if rep.FinalPoolGB >= base.Cluster.PoolGB*base.Cluster.Cells {
+		t.Fatalf("final pool %d GB not below static %d", rep.FinalPoolGB, base.Cluster.PoolGB*base.Cluster.Cells)
 	}
 }
 
@@ -1099,7 +1099,7 @@ func TestIndivisiblePoolBanksNoPhantomSavings(t *testing.T) {
 	// down); the savings baseline must be what was provisioned, not the
 	// requested figure — a static run saves exactly nothing.
 	o := testOptions()
-	o.PoolGB = 130
+	o.Cluster.PoolGB = 130
 	rep, err := Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -1107,8 +1107,8 @@ func TestIndivisiblePoolBanksNoPhantomSavings(t *testing.T) {
 	if rep.DRAMSavedGB != 0 {
 		t.Fatalf("static run banked %.2f GB of phantom savings", rep.DRAMSavedGB)
 	}
-	if rep.FinalPoolGB != 128*o.Cells {
-		t.Fatalf("final pool %d GB, want the provisioned %d", rep.FinalPoolGB, 128*o.Cells)
+	if rep.FinalPoolGB != 128*o.Cluster.Cells {
+		t.Fatalf("final pool %d GB, want the provisioned %d", rep.FinalPoolGB, 128*o.Cluster.Cells)
 	}
 	if strings.Contains(rep.EventLog, "elastic summary") {
 		t.Fatal("static run emitted an elastic summary line")

@@ -67,29 +67,29 @@ func FuzzParseInjections(f *testing.F) {
 		for _, in := range ins {
 			// Accepted values must be inside the documented domains —
 			// rejecting is fine, silently clamping is not.
-			if in.AtSec < 0 || math.IsNaN(in.AtSec) || math.IsInf(in.AtSec, 0) {
-				t.Fatalf("accepted injection %q with t=%v", spec, in.AtSec)
+			if in.atSec < 0 || math.IsNaN(in.atSec) || math.IsInf(in.atSec, 0) {
+				t.Fatalf("accepted injection %q with t=%v", spec, in.atSec)
 			}
-			switch in.Kind {
+			switch in.kind {
 			case InjectEMCFail, InjectHostDrain, InjectSurge, InjectDrift, InjectResize:
 			default:
-				t.Fatalf("accepted unknown kind %q from %q", in.Kind, spec)
+				t.Fatalf("accepted unknown kind %q from %q", in.kind, spec)
 			}
-			if in.EMC < 0 || in.Host < 0 {
+			if in.emc < 0 || in.host < 0 {
 				t.Fatalf("accepted negative target from %q: %+v", spec, in)
 			}
-			if in.Kind == InjectSurge && (in.Factor <= 1 || in.DurSec < 0) {
+			if in.kind == InjectSurge && (in.factor <= 1 || in.durSec < 0) {
 				t.Fatalf("accepted out-of-domain surge from %q: %+v", spec, in)
 			}
-			if in.Kind == InjectDrift {
-				if in.Mag <= 0 || in.Mag > 1 {
+			if in.kind == InjectDrift {
+				if in.mag <= 0 || in.mag > 1 {
 					t.Fatalf("accepted out-of-domain drift magnitude from %q: %+v", spec, in)
 				}
-				if in.CellHi >= 0 && (in.CellLo < 0 || in.CellLo > in.CellHi) {
+				if in.cellHi >= 0 && (in.cellLo < 0 || in.cellLo > in.cellHi) {
 					t.Fatalf("accepted empty cell range from %q: %+v", spec, in)
 				}
 			}
-			if in.Kind == InjectResize && (in.Slices == 0 || in.Slices < -MaxResizeSlices || in.Slices > MaxResizeSlices) {
+			if in.kind == InjectResize && (in.slices == 0 || in.slices < -MaxResizeSlices || in.slices > MaxResizeSlices) {
 				t.Fatalf("accepted out-of-domain resize from %q: %+v", spec, in)
 			}
 			// String() must render a spec that parses back to the same
@@ -119,8 +119,8 @@ func FuzzParseArrival(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if m.Kind != ArrivalPoisson && m.Kind != ArrivalTrace {
-			t.Fatalf("accepted unknown arrival kind %q from %q", m.Kind, spec)
+		if m.Process != ArrivalPoisson && m.Process != ArrivalTrace {
+			t.Fatalf("accepted unknown arrival kind %q from %q", m.Process, spec)
 		}
 		if m.RatePerSec <= 0 || m.MeanLifetimeSec <= 0 ||
 			math.IsInf(m.RatePerSec, 0) || math.IsNaN(m.RatePerSec) ||

@@ -21,31 +21,31 @@ var updateGolden = flag.Bool("update-golden", false,
 // log-format drift, a scheduling change) still fails loudly.
 func goldenCases() map[string]Options {
 	flat := testOptions()
-	flat.Predictions = true
+	flat.Model.Disabled = false
 	flat.Injections = mustParseInjections("emc-fail@t=200")
 
 	sharded := testOptions()
-	sharded.Topology = "sharded"
+	sharded.Cluster.Topology = "sharded"
 	sharded.Injections = mustParseInjections("host-drain@t=300:host=1")
 
 	sparse := testOptions()
-	sparse.Topology = "sparse"
-	sparse.Predictions = true
-	sparse.DurationSec = 800
-	sparse.Arrival.RatePerSec = 0.2
-	sparse.RetrainEverySec = 200
-	sparse.MinTrainRows = 16
-	sparse.ModelScope = ScopeFleet
+	sparse.Cluster.Topology = "sparse"
+	sparse.Model.Disabled = false
+	sparse.Cluster.DurationSec = 800
+	sparse.Arrivals.RatePerSec = 0.2
+	sparse.Model.RetrainEverySec = 200
+	sparse.Model.MinTrainRows = 16
+	sparse.Model.Scope = ScopeFleet
 	sparse.Injections = mustParseInjections("surge@t=100:dur=100:x=3")
 
 	// The elastic-pool control plane: planning barriers resize the pool
 	// against observed demand while a manual resize and a drift land
 	// mid-run.
 	elastic := testOptions()
-	elastic.Predictions = true
-	elastic.Arrival.RatePerSec = 0.2
-	elastic.ElasticPool = true
-	elastic.PlanEverySec = 100
+	elastic.Model.Disabled = false
+	elastic.Arrivals.RatePerSec = 0.2
+	elastic.Capacity.Elastic = true
+	elastic.Capacity.PlanEverySec = 100
 	elastic.Injections = mustParseInjections("resize@t=150:emc=1:slices=-8,drift@t=250:mag=0.5")
 
 	return map[string]Options{
@@ -91,7 +91,7 @@ func TestGoldenEventLogs(t *testing.T) {
 			// Recompute the stream-manifest hash from the committed log —
 			// the same partition-and-hash the report performs — so the
 			// golden file keeps pinning the exact bytes.
-			wantSHA := EventLogSHA256(string(want), rep.Options.Cells)
+			wantSHA := EventLogSHA256(string(want), rep.Options.Cluster.Cells)
 			if rep.LogSHA256 == wantSHA {
 				return
 			}
@@ -137,7 +137,7 @@ func firstDiff(got, want []string) (int, string, string) {
 func TestGoldenLogsCoverEveryTopology(t *testing.T) {
 	seen := map[string]bool{}
 	for _, o := range goldenCases() {
-		seen[o.Topology] = true
+		seen[o.Cluster.Topology] = true
 	}
 	for _, want := range []string{"flat", "sharded", "sparse"} {
 		if !seen[want] {

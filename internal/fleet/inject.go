@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -42,60 +43,96 @@ const (
 // discipline.
 const MaxResizeSlices = 1 << 20
 
-// Injection is one scheduled scenario event.
+// Injection is one scheduled scenario event — an EMC failure, host
+// drain, demand surge, workload drift, or pool resize. Its canonical
+// form is the spec string the -inject flag takes (for example
+// "emc-fail@t=500:emc=1"); ParseInjection and String round-trip it, and
+// JSON marshals it as that string, so the Go API, the CLI, and pondserve
+// request bodies all share one parser and one validation path.
+//
+// The zero Injection is invalid. The fields are unexported so that code
+// outside this package can only build one through ParseInjection (or
+// by decoding its JSON spec string), which applies every parse-time
+// check.
 type Injection struct {
-	Kind  string
-	AtSec float64
+	kind  string
+	atSec float64
 
-	// EMC is the target device for emc-fail (default 0).
-	EMC int
-	// Host is the target host for host-drain (default 0).
-	Host int
-	// DurSec and Factor shape a surge (defaults 200 s, 2x).
-	DurSec float64
-	Factor float64
-	// Mag is the drift magnitude in (0, 1] (default 0.5): how far each
+	// emc is the target device for emc-fail and resize (default 0).
+	emc int
+	// host is the target host for host-drain (default 0).
+	host int
+	// durSec and factor shape a surge (defaults 200 s, 2x).
+	durSec float64
+	factor float64
+	// mag is the drift magnitude in (0, 1] (default 0.5): how far each
 	// customer's untouched-memory mean moves and the probability that a
 	// customer's workload set is replaced.
-	Mag float64
-	// CellLo..CellHi is the inclusive cell range a drift hits
+	mag float64
+	// cellLo..cellHi is the inclusive cell range a drift hits
 	// (regionally-correlated workload shifts; parsed from cells=a-b).
-	// CellHi < 0 — the parser default — means every cell. A hand-built
-	// Injection must set CellHi to -1 (or any negative) for fleet-wide
-	// drift; the zero value targets cell 0 alone.
-	CellLo, CellHi int
-	// Slices is the signed capacity delta of a resize (non-zero; parsed
+	// cellHi < 0 — the parser default — means every cell.
+	cellLo, cellHi int
+	// slices is the signed capacity delta of a resize (non-zero; parsed
 	// from slices=±N).
-	Slices int
+	slices int
+}
+
+// Kind is the scenario kind: "emc-fail", "host-drain", "surge",
+// "drift", or "resize".
+func (in Injection) Kind() string { return in.kind }
+
+// AtSec is the simulated time the injection fires.
+func (in Injection) AtSec() float64 { return in.atSec }
+
+// MarshalJSON encodes the injection as its canonical spec string.
+func (in Injection) MarshalJSON() ([]byte, error) {
+	return json.Marshal(in.String())
+}
+
+// UnmarshalJSON decodes a spec string, running the same parser and
+// checks as the CLI flag.
+func (in *Injection) UnmarshalJSON(data []byte) error {
+	var spec string
+	if err := json.Unmarshal(data, &spec); err != nil {
+		return err
+	}
+	parsed, err := ParseInjection(spec)
+	if err != nil {
+		return err
+	}
+	*in = parsed
+	return nil
 }
 
 // AppliesTo reports whether a drift injection hits the given cell.
 // Non-drift injections hit every cell.
 func (in Injection) AppliesTo(cell int) bool {
-	if in.Kind != InjectDrift || in.CellHi < 0 {
+	if in.kind != InjectDrift || in.cellHi < 0 {
 		return true
 	}
-	return cell >= in.CellLo && cell <= in.CellHi
+	return cell >= in.cellLo && cell <= in.cellHi
 }
 
-// String renders the injection as a parseable spec.
+// String renders the canonical spec; ParseInjection(in.String())
+// reproduces the injection exactly.
 func (in Injection) String() string {
-	switch in.Kind {
+	switch in.kind {
 	case InjectEMCFail:
-		return fmt.Sprintf("%s@t=%g:emc=%d", in.Kind, in.AtSec, in.EMC)
+		return fmt.Sprintf("%s@t=%g:emc=%d", in.kind, in.atSec, in.emc)
 	case InjectHostDrain:
-		return fmt.Sprintf("%s@t=%g:host=%d", in.Kind, in.AtSec, in.Host)
+		return fmt.Sprintf("%s@t=%g:host=%d", in.kind, in.atSec, in.host)
 	case InjectSurge:
-		return fmt.Sprintf("%s@t=%g:dur=%g:x=%g", in.Kind, in.AtSec, in.DurSec, in.Factor)
+		return fmt.Sprintf("%s@t=%g:dur=%g:x=%g", in.kind, in.atSec, in.durSec, in.factor)
 	case InjectDrift:
-		if in.CellHi >= 0 {
-			return fmt.Sprintf("%s@t=%g:cells=%d-%d:mag=%g", in.Kind, in.AtSec, in.CellLo, in.CellHi, in.Mag)
+		if in.cellHi >= 0 {
+			return fmt.Sprintf("%s@t=%g:cells=%d-%d:mag=%g", in.kind, in.atSec, in.cellLo, in.cellHi, in.mag)
 		}
-		return fmt.Sprintf("%s@t=%g:mag=%g", in.Kind, in.AtSec, in.Mag)
+		return fmt.Sprintf("%s@t=%g:mag=%g", in.kind, in.atSec, in.mag)
 	case InjectResize:
-		return fmt.Sprintf("%s@t=%g:emc=%d:slices=%+d", in.Kind, in.AtSec, in.EMC, in.Slices)
+		return fmt.Sprintf("%s@t=%g:emc=%d:slices=%+d", in.kind, in.atSec, in.emc, in.slices)
 	default:
-		return in.Kind
+		return in.kind
 	}
 }
 
@@ -115,7 +152,7 @@ func ParseInjections(s string) ([]Injection, error) {
 	}
 	var out []Injection
 	for _, spec := range strings.Split(s, ",") {
-		in, err := parseInjection(strings.TrimSpace(spec))
+		in, err := ParseInjection(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -129,15 +166,12 @@ func ParseInjections(s string) ([]Injection, error) {
 // callers that handle injections one at a time, like pondserve's
 // live-injection bodies; ParseInjections loops over it.
 func ParseInjection(spec string) (Injection, error) {
-	return parseInjection(strings.TrimSpace(spec))
-}
-
-func parseInjection(spec string) (Injection, error) {
+	spec = strings.TrimSpace(spec)
 	kind, rest, ok := strings.Cut(spec, "@")
 	if !ok {
 		return Injection{}, fmt.Errorf("fleet: injection %q needs kind@t=SEC", spec)
 	}
-	in := Injection{Kind: kind, AtSec: -1, DurSec: 200, Factor: 2, Mag: 0.5, CellLo: 0, CellHi: -1}
+	in := Injection{kind: kind, atSec: -1, durSec: 200, factor: 2, mag: 0.5, cellLo: 0, cellHi: -1}
 	// Parameters valid per kind; a parameter on the wrong kind would
 	// parse, render nowhere in String(), and silently do nothing — so it
 	// is rejected instead.
@@ -175,13 +209,13 @@ func parseInjection(spec string) (Injection, error) {
 			}
 			switch k {
 			case "t":
-				in.AtSec = f
+				in.atSec = f
 			case "dur":
-				in.DurSec = f
+				in.durSec = f
 			case "x":
-				in.Factor = f
+				in.factor = f
 			case "mag":
-				in.Mag = f
+				in.mag = f
 			}
 		case "emc", "host":
 			n, err := strconv.Atoi(v)
@@ -189,9 +223,9 @@ func parseInjection(spec string) (Injection, error) {
 				return in, fmt.Errorf("fleet: injection parameter %s=%q must be a non-negative integer", k, v)
 			}
 			if k == "emc" {
-				in.EMC = n
+				in.emc = n
 			} else {
-				in.Host = n
+				in.host = n
 			}
 		case "slices":
 			n, err := strconv.Atoi(v)
@@ -199,27 +233,27 @@ func parseInjection(spec string) (Injection, error) {
 				return in, fmt.Errorf("fleet: injection parameter slices=%q must be a non-zero integer in [-%d, %d]",
 					v, MaxResizeSlices, MaxResizeSlices)
 			}
-			in.Slices = n
+			in.slices = n
 		case "cells":
 			lo, hi, err := parseCellRange(v)
 			if err != nil {
 				return in, err
 			}
-			in.CellLo, in.CellHi = lo, hi
+			in.cellLo, in.cellHi = lo, hi
 		default:
 			return in, fmt.Errorf("fleet: unknown injection parameter %q", k)
 		}
 	}
-	if in.AtSec < 0 {
+	if in.atSec < 0 {
 		return in, fmt.Errorf("fleet: injection %q is missing t=SEC", spec)
 	}
-	if in.Kind == InjectSurge && in.Factor <= 1 {
-		return in, fmt.Errorf("fleet: surge factor x=%g must exceed 1", in.Factor)
+	if in.kind == InjectSurge && in.factor <= 1 {
+		return in, fmt.Errorf("fleet: surge factor x=%g must exceed 1", in.factor)
 	}
-	if in.Kind == InjectDrift && (in.Mag <= 0 || in.Mag > 1) {
-		return in, fmt.Errorf("fleet: drift magnitude mag=%g must be in (0, 1]", in.Mag)
+	if in.kind == InjectDrift && (in.mag <= 0 || in.mag > 1) {
+		return in, fmt.Errorf("fleet: drift magnitude mag=%g must be in (0, 1]", in.mag)
 	}
-	if in.Kind == InjectResize && in.Slices == 0 {
+	if in.kind == InjectResize && in.slices == 0 {
 		return in, fmt.Errorf("fleet: resize injection %q is missing slices=±N", spec)
 	}
 	return in, nil

@@ -1,6 +1,6 @@
 package fleet
 
-// Per-run sim-time metrics: when Options.MetricsEverySec > 0, every
+// Per-run sim-time metrics: when Options.Engine.MetricsEverySec > 0, every
 // cell samples a compact row of its live state at each multiple of the
 // cadence into a preallocated ring. Sampling is determinism-safe by
 // construction — it only *reads* sim state (occupancy, pool draw,
@@ -140,7 +140,7 @@ func (c *cellSim) observePredErr(rv *runningVM) {
 // Like DrainEvents it must be called at a safe point; drained rows are
 // released from the rings. With MetricsEverySec unset it returns nil.
 func (r *Runner) DrainMetrics() []MetricsRow {
-	if r.o.MetricsEverySec <= 0 {
+	if r.o.Engine.MetricsEverySec <= 0 {
 		return nil
 	}
 	var out []MetricsRow

@@ -14,8 +14,8 @@ import (
 func metricsTestOptions(t *testing.T) Options {
 	t.Helper()
 	o := testOptions()
-	o.Predictions = true
-	o.RetrainEverySec = 100
+	o.Model.Disabled = false
+	o.Model.RetrainEverySec = 100
 	inj, err := ParseInjections("surge@t=50:dur=100:x=3,emc-fail@t=200")
 	if err != nil {
 		t.Fatal(err)
@@ -30,15 +30,15 @@ func metricsTestOptions(t *testing.T) Options {
 func TestMetricsOnOffLogIdentity(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		off := metricsTestOptions(t)
-		off.Workers = workers
+		off.Engine.Workers = workers
 		repOff, err := Run(context.Background(), off)
 		if err != nil {
 			t.Fatalf("workers=%d off: %v", workers, err)
 		}
 
 		on := metricsTestOptions(t)
-		on.Workers = workers
-		on.MetricsEverySec = 7 // deliberately not a divisor of the horizon
+		on.Engine.Workers = workers
+		on.Engine.MetricsEverySec = 7 // deliberately not a divisor of the horizon
 		repOn, err := Run(context.Background(), on)
 		if err != nil {
 			t.Fatalf("workers=%d on: %v", workers, err)
@@ -59,8 +59,8 @@ func TestMetricsOnOffLogIdentity(t *testing.T) {
 				if r := row.TSec / 7; r != math.Trunc(r) {
 					t.Fatalf("sample at t=%g is not on the 7s cadence", row.TSec)
 				}
-				if row.TSec <= 0 || row.TSec > on.DurationSec {
-					t.Fatalf("sample at t=%g outside (0, %g]", row.TSec, on.DurationSec)
+				if row.TSec <= 0 || row.TSec > on.Cluster.DurationSec {
+					t.Fatalf("sample at t=%g outside (0, %g]", row.TSec, on.Cluster.DurationSec)
 				}
 				if row.PredErrEWMA > 0 {
 					sawPredErr = true
@@ -84,7 +84,7 @@ func TestMetricsOnOffLogIdentity(t *testing.T) {
 // horizon runs in one shot or in ragged Advance slices.
 func TestMetricsSeriesSliceIndependent(t *testing.T) {
 	o := metricsTestOptions(t)
-	o.MetricsEverySec = 7
+	o.Engine.MetricsEverySec = 7
 
 	batch, err := Run(context.Background(), o)
 	if err != nil {
@@ -134,8 +134,8 @@ func TestMetricsRingOverflowKeepsLatest(t *testing.T) {
 	defer func() { maxMetricsRing = saved }()
 
 	o := testOptions()
-	o.Cells = 1
-	o.MetricsEverySec = 10 // 40 samples over the 400s horizon, ring of 4
+	o.Cluster.Cells = 1
+	o.Engine.MetricsEverySec = 10 // 40 samples over the 400s horizon, ring of 4
 	rep, err := Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestMetricsRingOverflowKeepsLatest(t *testing.T) {
 // combined series — and the event log — match an uninterrupted run.
 func TestMetricsSnapshotRoundTrip(t *testing.T) {
 	o := metricsTestOptions(t)
-	o.MetricsEverySec = 7
+	o.Engine.MetricsEverySec = 7
 	ctx := context.Background()
 
 	r, err := NewRunner(ctx, o)
@@ -176,7 +176,7 @@ func TestMetricsSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := RestoreRunner(ctx, snap)
+	restored, err := RestoreRunner(ctx, o, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,12 +216,12 @@ func TestMetricsSnapshotRoundTrip(t *testing.T) {
 // test. A regression that allocates per sample trips this immediately.
 func TestWarmedCellSteadyStateAllocsWithMetrics(t *testing.T) {
 	o := testOptions()
-	o.Cells = 1
-	o.DurationSec = 2000
-	o.Arrival = ArrivalModel{Kind: ArrivalPoisson, RatePerSec: 0.2, MeanLifetimeSec: 200}
-	o.MetricsEverySec = 1
+	o.Cluster.Cells = 1
+	o.Cluster.DurationSec = 2000
+	o.Arrivals = ArrivalOpts{Process: ArrivalPoisson, RatePerSec: 0.2, MeanLifetimeSec: 200}
+	o.Engine.MetricsEverySec = 1
 
-	sim, err := newCellSim(0, o, nil, 0, stats.NewRand(o.Seed))
+	sim, err := newCellSim(0, o, nil, 0, stats.NewRand(o.Engine.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,7 @@ import (
 //
 // A Runner is not safe for concurrent use; callers serialize access.
 type Runner struct {
-	o     Options
-	eopts engine.Options
+	o Options
 
 	sims        []*cellSim
 	fleetScoped bool
@@ -100,12 +99,13 @@ func newRunner(ctx context.Context, o Options) (*Runner, error) {
 	insens, threshold := trainInsens(o)
 	r := &Runner{
 		o:           o,
-		eopts:       engine.Options{Workers: o.Workers, Seed: o.Seed},
-		fleetScoped: o.ModelScope == ScopeFleet && o.RetrainEverySec > 0,
+		fleetScoped: o.Model.Scope == ScopeFleet && o.Model.RetrainEverySec > 0,
 	}
-	sims, err := engine.Map(ctx, cellIndices(o.Cells), r.eopts,
-		func(i int, _ int, rng *stats.Rand) (*cellSim, error) {
-			return newCellSim(i, o, insens, threshold, rng)
+	// Each cell's RNG derives from the root seed and the cell index
+	// alone, so the streams never depend on the worker count.
+	sims, err := engine.Map(ctx, make([]struct{}, o.Cluster.Cells), o.Engine.Workers,
+		func(i int, _ struct{}) (*cellSim, error) {
+			return newCellSim(i, o, insens, threshold, stats.NewRand(stats.ShardSeed(o.Engine.Seed, i)))
 		})
 	if err != nil {
 		return nil, err
@@ -113,18 +113,18 @@ func newRunner(ctx context.Context, o Options) (*Runner, error) {
 	r.sims = sims
 	if r.fleetScoped {
 		r.fp = fleetpipeline.NewManager(fleetpipeline.Config{
-			Cells:          o.Cells,
-			CanaryFraction: o.CanaryFraction,
-			BakeWindowSec:  o.BakeWindowSec,
-			MinTrainRows:   o.MinTrainRows,
-			HoldoutWindow:  o.HoldoutWindow,
-			PromoteMargin:  o.PromoteMargin,
-			Seed:           o.Seed,
+			Cells:          o.Cluster.Cells,
+			CanaryFraction: o.Model.CanaryFraction,
+			BakeWindowSec:  o.Model.BakeWindowSec,
+			MinTrainRows:   o.Model.MinTrainRows,
+			HoldoutWindow:  o.Model.HoldoutWindow,
+			PromoteMargin:  o.Model.PromoteMargin,
+			Seed:           o.Engine.Seed,
 		}, predict.HistoryQuantileUM{})
 		rcfg := r.fp.Config()
 		for _, sim := range sims {
 			sim.col = fleetpipeline.NewCollector(sim.cell, predict.HistoryQuantileUM{}, insens,
-				sim.ratio, o.PDM, rcfg.OverPenalty, rcfg.HoldoutWindow)
+				sim.ratio, qosPDM, rcfg.OverPenalty, rcfg.HoldoutWindow)
 			sim.pipe.SetShadowHook(sim.col.ObserveDecision)
 			sim.res.ServedVersions = []int{0}
 		}
@@ -163,16 +163,16 @@ func (r *Runner) Advance(ctx context.Context, t float64) error {
 		// AddInjection not-in-the-past validation).
 		t = r.now
 	}
-	if t > r.o.DurationSec {
-		t = r.o.DurationSec
+	if t > r.o.Cluster.DurationSec {
+		t = r.o.Cluster.DurationSec
 	}
 	for {
 		next, final := t, false
 		if r.nextBarrier < len(r.barriers) && r.barriers[r.nextBarrier].t <= t {
 			next = r.barriers[r.nextBarrier].t
 		}
-		if next >= r.o.DurationSec {
-			next, final = r.o.DurationSec, true
+		if next >= r.o.Cluster.DurationSec {
+			next, final = r.o.Cluster.DurationSec, true
 		}
 		var t0 time.Time
 		if r.phase != nil {
@@ -203,8 +203,8 @@ func (r *Runner) Advance(ctx context.Context, t float64) error {
 // strictly per-cell, so the fan-out is race-free and the per-cell logs
 // depend only on (options, cell, seed).
 func (r *Runner) advanceCells(ctx context.Context, t float64, final bool) error {
-	_, err := engine.Map(ctx, r.sims, r.eopts,
-		func(_ int, s *cellSim, _ *stats.Rand) (struct{}, error) {
+	_, err := engine.Map(ctx, r.sims, r.o.Engine.Workers,
+		func(_ int, s *cellSim) (struct{}, error) {
 			return struct{}{}, s.runUntil(t, final)
 		})
 	return err
@@ -251,7 +251,8 @@ func (r *Runner) processBarrier(b barrier) error {
 
 // AddInjection schedules an injection into the paused run. It must fire
 // at or after the current simulated time and passes the same
-// ValidateInjection rules as a batch-scheduled one. The injection lands
+// ValidateInjection rules and per-cell arrival cap as a batch-scheduled
+// one; a refused injection leaves the run untouched. The injection lands
 // in every cell with the banded sequence number a batch run listing it
 // at the same index would have used, and drift/surge injections
 // regenerate the affected arrival streams from their stored fork seeds
@@ -261,19 +262,26 @@ func (r *Runner) AddInjection(in Injection) error {
 	if r.done {
 		return fmt.Errorf("fleet: injection %s refused: run completed at t=%gs", in, r.now)
 	}
-	if in.AtSec < r.now {
+	if in.atSec < r.now {
 		return fmt.Errorf("fleet: injection %s fires before the current time %gs", in, r.now)
 	}
 	if err := ValidateInjection(in, r.o); err != nil {
 		return err
 	}
-	for _, s := range r.sims {
-		s.liveInject(in, r.now)
+	// Full-slice append: the current list shares its backing array with
+	// the caller's options and every cell, so it is never grown in
+	// place. The cap is checked on the grown list before any cell sees
+	// the injection.
+	next := r.o
+	n := len(next.Injections)
+	next.Injections = append(next.Injections[:n:n], in)
+	if err := checkArrivalCap(next); err != nil {
+		return err
 	}
-	// Full-slice append, mirroring liveInject: the original list may
-	// share its backing array with the caller's options.
-	n := len(r.o.Injections)
-	r.o.Injections = append(r.o.Injections[:n:n], in)
+	for _, s := range r.sims {
+		s.liveInject(next, r.now)
+	}
+	r.o = next
 	return nil
 }
 
@@ -284,14 +292,14 @@ func (r *Runner) Finish(ctx context.Context) (*Report, error) {
 	if r.rep != nil {
 		return r.rep, nil
 	}
-	if err := r.Advance(ctx, r.o.DurationSec); err != nil {
+	if err := r.Advance(ctx, r.o.Cluster.DurationSec); err != nil {
 		return nil, err
 	}
 	var t0 time.Time
 	if r.phase != nil {
 		t0 = time.Now()
 	}
-	defer r.timePhase("finish", r.o.DurationSec, t0)
+	defer r.timePhase("finish", r.o.Cluster.DurationSec, t0)
 	results := make([]CellResult, len(r.sims))
 	for i, s := range r.sims {
 		res, err := s.finish()
@@ -302,7 +310,7 @@ func (r *Runner) Finish(ctx context.Context) (*Report, error) {
 	}
 	if r.fleetScoped {
 		fmt.Fprintf(&r.fleetLog, "[fleet t=%.3f] fleetpipeline summary retrains=%d promotions=%d rollbacks=%d demotions=%d holds=%d champion-ver=%d\n",
-			r.o.DurationSec, r.fp.Counts().Retrains, r.fp.Counts().Promotions, r.fp.Counts().Rollbacks,
+			r.o.Cluster.DurationSec, r.fp.Counts().Retrains, r.fp.Counts().Promotions, r.fp.Counts().Rollbacks,
 			r.fp.Counts().Demotions, r.fp.Counts().Holds, r.fp.ChampionVer())
 	}
 	fleetTail := r.fleetLog.String()
@@ -325,10 +333,14 @@ func (r *Runner) Finish(ctx context.Context) (*Report, error) {
 // Progress is a point-in-time snapshot of a run's aggregate counters,
 // taken at a safe point.
 type Progress struct {
+	// NowSec is the simulated time the run is paused at; DurationSec the
+	// horizon; Done whether the horizon was reached.
 	NowSec      float64 `json:"now_sec"`
 	DurationSec float64 `json:"duration_sec"`
 	Done        bool    `json:"done"`
 
+	// Arrivals, Placed, Rejected, and Departed count VM lifecycle events
+	// aggregated across cells so far.
 	Arrivals int `json:"arrivals"`
 	Placed   int `json:"placed"`
 	Rejected int `json:"rejected"`
@@ -336,16 +348,17 @@ type Progress struct {
 	// Injections counts scheduled plus live-added injections.
 	Injections int `json:"injections"`
 
-	// Live occupancy at the safe point: placed-not-departed VMs, active
-	// pool capacity, and the pool draw at the last accounted event.
+	// LiveVMs counts placed, not-yet-departed VMs across cells; PoolGB is
+	// the summed active pool capacity and PoolUsedGB the summed pool draw
+	// at the last accounting point.
 	LiveVMs    int     `json:"live_vms"`
 	PoolGB     int     `json:"pool_gb"`
 	PoolUsedGB float64 `json:"pool_used_gb"`
-	// Fallbacks counts pool-exhaustion downgrades so far; QoSViolations
-	// departures whose slowdown exceeded the PDM.
+	// Fallbacks counts pool-exhaustion DRAM fallbacks; QoSViolations
+	// counts departures whose slowdown exceeded the PDM so far.
 	Fallbacks     int `json:"fallbacks"`
 	QoSViolations int `json:"qos_violations"`
-	// Retrains and Rollbacks count model-lifecycle events so far: cell
+	// Retrains and Rollbacks count model-lifecycle actions so far: cell
 	// scope sums the per-cell managers, fleet scope reads the release
 	// train (rollbacks are fleet-scope only).
 	Retrains  int `json:"retrains"`
@@ -354,7 +367,7 @@ type Progress struct {
 
 // Progress snapshots the run's aggregate lifecycle counters.
 func (r *Runner) Progress() Progress {
-	p := Progress{NowSec: r.now, DurationSec: r.o.DurationSec, Done: r.done,
+	p := Progress{NowSec: r.now, DurationSec: r.o.Cluster.DurationSec, Done: r.done,
 		Injections: len(r.o.Injections)}
 	for _, s := range r.sims {
 		p.Arrivals += s.res.Arrivals
@@ -383,8 +396,8 @@ func (r *Runner) Progress() Progress {
 // followed by the fleet stream, each line newline-terminated — clients
 // regroup drained events by cell to reconstruct and hash it.
 type LogEvent struct {
-	Cell int
-	Line string
+	Cell int    `json:"cell"`
+	Line string `json:"line"`
 }
 
 // SetCompactDrained controls drained-prefix compaction. When on, every

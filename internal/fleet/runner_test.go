@@ -43,7 +43,7 @@ func runnerLog(t *testing.T, o Options, pauses []float64, live []Injection) *Rep
 		streams[e.Cell] = append(streams[e.Cell], e.Line)
 	}
 	var b strings.Builder
-	for c := 0; c < rep.Options.Cells; c++ {
+	for c := 0; c < rep.Options.Cluster.Cells; c++ {
 		for _, line := range streams[c] {
 			b.WriteString(line)
 			b.WriteByte('\n')
@@ -92,11 +92,11 @@ func TestRunnerLiveInjectionMatchesBatch(t *testing.T) {
 		{"surge", nil, 90, "surge@t=150:dur=120:x=3"},
 		{"drift-regional", nil, 120, "drift@t=220:cells=1-2:mag=0.6"},
 		{"drift-trace", func(o *Options) {
-			o.Arrival = ArrivalModel{Kind: ArrivalTrace}
+			o.Arrivals = ArrivalOpts{Process: ArrivalTrace}
 		}, 120, "drift@t=220:mag=0.7"},
 		{"surge-elastic", func(o *Options) {
-			o.ElasticPool = true
-			o.PlanEverySec = 100
+			o.Capacity.Elastic = true
+			o.Capacity.PlanEverySec = 100
 		}, 130, "surge@t=170:dur=100:x=3"},
 	}
 	for _, tc := range cases {
@@ -111,7 +111,7 @@ func TestRunnerLiveInjectionMatchesBatch(t *testing.T) {
 			}
 			var want *Report
 			for _, workers := range []int{1, 4} {
-				o.Workers = workers
+				o.Engine.Workers = workers
 				got := runnerLog(t, o, []float64{tc.pause}, []Injection{in})
 				batch := batchEquivalent(t, o, []Injection{in})
 				if got.EventLog != batch.EventLog {
@@ -124,7 +124,7 @@ func TestRunnerLiveInjectionMatchesBatch(t *testing.T) {
 					t.Fatalf("live log differs between worker counts")
 				}
 			}
-			if !strings.Contains(want.EventLog, "inject "+in.Kind) {
+			if !strings.Contains(want.EventLog, "inject "+in.kind) {
 				t.Fatalf("log does not show the live injection %s", in)
 			}
 		})
@@ -159,8 +159,8 @@ func TestRunnerSlicingChangesNoBytes(t *testing.T) {
 	for _, elastic := range []bool{false, true} {
 		o := testOptions()
 		if elastic {
-			o.ElasticPool = true
-			o.PlanEverySec = 70
+			o.Capacity.Elastic = true
+			o.Capacity.PlanEverySec = 70
 		}
 		batch, err := Run(context.Background(), o)
 		if err != nil {
@@ -186,15 +186,15 @@ func TestRunnerAddInjectionValidation(t *testing.T) {
 	if err := r.Advance(ctx, 200); err != nil {
 		t.Fatal(err)
 	}
-	past := Injection{Kind: InjectEMCFail, AtSec: 100}
+	past := Injection{kind: InjectEMCFail, atSec: 100}
 	if err := r.AddInjection(past); err == nil || !strings.Contains(err.Error(), "before the current time") {
 		t.Fatalf("past injection accepted: %v", err)
 	}
-	bad := Injection{Kind: InjectEMCFail, AtSec: 300, EMC: 99}
+	bad := Injection{kind: InjectEMCFail, atSec: 300, emc: 99}
 	if err := r.AddInjection(bad); err == nil || !strings.Contains(err.Error(), "targets EMC") {
 		t.Fatalf("out-of-range EMC accepted: %v", err)
 	}
-	beyond := Injection{Kind: InjectEMCFail, AtSec: o.DurationSec + 1}
+	beyond := Injection{kind: InjectEMCFail, atSec: o.Cluster.DurationSec + 1}
 	if err := r.AddInjection(beyond); err == nil || !strings.Contains(err.Error(), "horizon") {
 		t.Fatalf("beyond-horizon injection accepted: %v", err)
 	}
@@ -204,9 +204,53 @@ func TestRunnerAddInjectionValidation(t *testing.T) {
 	if !r.Done() {
 		t.Fatal("finished runner not done")
 	}
-	after := Injection{Kind: InjectEMCFail, AtSec: 395}
+	after := Injection{kind: InjectEMCFail, atSec: 395}
 	if err := r.AddInjection(after); err == nil || !strings.Contains(err.Error(), "completed") {
 		t.Fatalf("post-completion injection accepted: %v", err)
+	}
+}
+
+// TestRunnerAddInjectionArrivalCap pins that a live surge meets the
+// per-cell arrival cap a batch-scheduled one does, and is refused before
+// any cell sees it: the run then finishes with the hash of the run that
+// was never offered the injection.
+func TestRunnerAddInjectionArrivalCap(t *testing.T) {
+	ctx := context.Background()
+	o := testOptions()
+	want, err := Run(ctx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"surge@t=200:dur=100:x=1e300", "surge@t=200:dur=100:x=2e5"} {
+		in, err := ParseInjection(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := o
+		batch.Injections = []Injection{in}
+		if err := batch.Validate(); err == nil || !strings.Contains(err.Error(), "cap") {
+			t.Fatalf("%s: batch options validated: %v", spec, err)
+		}
+		r, err := NewRunner(ctx, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Advance(ctx, 100); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.AddInjection(in); err == nil || !strings.Contains(err.Error(), "cap") {
+			t.Fatalf("%s: live injection not refused by the arrival cap: %v", spec, err)
+		}
+		if n := len(r.Options().Injections); n != 0 {
+			t.Fatalf("%s: refused injection recorded (%d injections)", spec, n)
+		}
+		rep, err := r.Finish(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.LogSHA256 != want.LogSHA256 {
+			t.Fatalf("%s: refused injection changed the run: sha %s, want %s", spec, rep.LogSHA256, want.LogSHA256)
+		}
 	}
 }
 
@@ -234,7 +278,7 @@ func TestRunnerProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	end := r.Progress()
-	if !end.Done || end.NowSec != o.DurationSec {
+	if !end.Done || end.NowSec != o.Cluster.DurationSec {
 		t.Fatalf("end progress: %+v", end)
 	}
 	if end.Departed <= mid.Departed {

@@ -35,14 +35,15 @@ const SnapshotVersion = 1
 // The capture rule: dynamic state that affects future events or the
 // final report is carried (RNG vectors, the event heap verbatim,
 // occupancy, accumulated telemetry and models, accounting integrals,
-// log digests); anything derivable from the normalized Options is
-// rebuilt (topology, arrival streams from their fork seeds, the trained
+// log digests); anything derivable from the run's Options is rebuilt
+// (topology, arrival streams from their fork seeds, the trained
 // bootstrap insensitivity model), and pure caches (serving-score memos,
 // scratch freelists) restore empty — a miss recomputes the identical
-// value.
+// value. The Options themselves are not part of the snapshot: the
+// caller stores them once, next to it (pond.FleetSnapshot.Opts), and
+// hands them back to RestoreRunner.
 type Snapshot struct {
 	Version     int     `json:"version"`
-	Options     Options `json:"options"`
 	NowSec      float64 `json:"now_sec"`
 	NextBarrier int     `json:"next_barrier"`
 	Done        bool    `json:"done"`
@@ -65,7 +66,7 @@ type LogStream struct {
 
 // EventState is one pending event of a cell's queue. The heap's backing
 // array is carried verbatim (it already satisfies the heap invariant),
-// so restore is a straight copy.
+// so restore is a checked copy.
 type EventState struct {
 	At   float64      `json:"at"`
 	Seq  int          `json:"seq"`
@@ -171,7 +172,6 @@ func (r *Runner) Snapshot() (*Snapshot, error) {
 	}
 	s := &Snapshot{
 		Version:     SnapshotVersion,
-		Options:     r.o,
 		NowSec:      r.now,
 		NextBarrier: r.nextBarrier,
 		Done:        r.done,
@@ -280,18 +280,20 @@ func (c *cellSim) state() (CellState, error) {
 }
 
 // RestoreRunner rebuilds a paused Runner from a snapshot, in O(snapshot
-// size): the static wiring is reconstructed from the options exactly as
-// NewRunner does, then every cell's dynamic state is overwritten — no
-// simulated time is replayed. The restored run continues byte-for-byte
-// where the snapshot left off.
-func RestoreRunner(ctx context.Context, s *Snapshot) (*Runner, error) {
+// size): the static wiring is reconstructed from o exactly as NewRunner
+// does, then every cell's dynamic state is overwritten — no simulated
+// time is replayed. o must be the options of the snapshotted run, every
+// live injection appended (Runner.Options, or the public FleetRun.Config)
+// — the same configuration a batch run reproducing it takes. The
+// restored run continues byte-for-byte where the snapshot left off.
+func RestoreRunner(ctx context.Context, o Options, s *Snapshot) (*Runner, error) {
 	if s == nil {
 		return nil, fmt.Errorf("fleet: nil snapshot")
 	}
 	if s.Version != SnapshotVersion {
 		return nil, fmt.Errorf("fleet: snapshot version %d not supported (want %d)", s.Version, SnapshotVersion)
 	}
-	o, err := normalize(s.Options)
+	o, err := normalize(o)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: snapshot options: %w", err)
 	}
@@ -325,7 +327,7 @@ func RestoreRunner(ctx context.Context, s *Snapshot) (*Runner, error) {
 		return nil, fmt.Errorf("fleet: fleet-scoped options but snapshot carries no release train")
 	}
 	for i := range r.sims {
-		if err := r.sims[i].restoreState(s.Cells[i], r.fp); err != nil {
+		if err := r.sims[i].restoreState(s.Cells[i], s.NowSec, r.fp); err != nil {
 			return nil, err
 		}
 	}
@@ -333,8 +335,9 @@ func RestoreRunner(ctx context.Context, s *Snapshot) (*Runner, error) {
 }
 
 // restoreState overwrites the freshly built cell with the snapshot's
-// dynamic state. fp is the restored release train under fleet scope.
-func (c *cellSim) restoreState(cs CellState, fp *fleetpipeline.Manager) error {
+// dynamic state. now is the snapshot's safe point and fp the restored
+// release train under fleet scope.
+func (c *cellSim) restoreState(cs CellState, now float64, fp *fleetpipeline.Manager) error {
 	if cs.Cell != c.cell {
 		return fmt.Errorf("cell %d: snapshot state is for cell %d", c.cell, cs.Cell)
 	}
@@ -348,9 +351,8 @@ func (c *cellSim) restoreState(cs CellState, fp *fleetpipeline.Manager) error {
 		return fmt.Errorf("cell %d: placement rng: %w", c.cell, err)
 	}
 
-	c.q = c.q[:0]
-	for _, es := range cs.Heap {
-		c.q = append(c.q, event{at: es.At, seq: es.Seq, kind: es.Kind, idx: es.Idx, vm: es.VM})
+	if err := c.restoreHeap(cs.Heap, now); err != nil {
+		return fmt.Errorf("cell %d: %w", c.cell, err)
 	}
 	c.seq = cs.Seq
 	c.running = make(map[cluster.VMID]*runningVM, len(cs.Running))
@@ -465,5 +467,43 @@ func (c *cellSim) restoreState(cs CellState, fp *fleetpipeline.Manager) error {
 	c.demandEpoch.SetState(cs.DemandEpoch)
 	c.demandTotal.SetState(cs.DemandTotal)
 	c.res = cs.Result
+	return nil
+}
+
+// restoreHeap installs a snapshotted event heap after checking every
+// entry against the rebuilt cell, so a damaged or hand-edited snapshot
+// fails the restore instead of panicking in a later Advance: each event
+// must be of a known kind, sit at a finite time at or after the safe
+// point now (every pending event does), and index an existing arrival
+// or injection; retrain ticks need the cell-scoped manager; and the
+// backing array must keep the heap order popMin relies on.
+func (c *cellSim) restoreHeap(heap []EventState, now float64) error {
+	c.q = c.q[:0]
+	for i, es := range heap {
+		if !finite(es.At) || es.At < now {
+			return fmt.Errorf("snapshot event %d at t=%g is not a finite time at or after the safe point t=%g", i, es.At, now)
+		}
+		switch es.Kind {
+		case evArrive:
+			if es.Idx < 0 || es.Idx >= len(c.arrivals) {
+				return fmt.Errorf("snapshot event %d names arrival %d of %d", i, es.Idx, len(c.arrivals))
+			}
+		case evInject:
+			if es.Idx < 0 || es.Idx >= len(c.o.Injections) {
+				return fmt.Errorf("snapshot event %d names injection %d of %d", i, es.Idx, len(c.o.Injections))
+			}
+		case evRetrain:
+			if c.mgr == nil {
+				return fmt.Errorf("snapshot event %d is a retrain tick, but the cell runs no cell-scoped model lifecycle", i)
+			}
+		case evDepart:
+		default:
+			return fmt.Errorf("snapshot event %d has unknown kind %d", i, es.Kind)
+		}
+		c.q = append(c.q, event{at: es.At, seq: es.Seq, kind: es.Kind, idx: es.Idx, vm: es.VM})
+		if i > 0 && c.q.less(i, (i-1)/2) {
+			return fmt.Errorf("snapshot event %d breaks the heap order", i)
+		}
+	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -12,24 +14,24 @@ import (
 // the elastic pool — every subsystem a snapshot must carry.
 func snapshotCases() map[string]Options {
 	plain := testOptions()
-	plain.Predictions = true
-	plain.RetrainEverySec = 100
-	plain.MinTrainRows = 16
+	plain.Model.Disabled = false
+	plain.Model.RetrainEverySec = 100
+	plain.Model.MinTrainRows = 16
 	plain.Injections = mustParseInjections("emc-fail@t=200")
 
 	fleetScope := testOptions()
-	fleetScope.Predictions = true
-	fleetScope.Arrival.RatePerSec = 0.2
-	fleetScope.RetrainEverySec = 100
-	fleetScope.MinTrainRows = 16
-	fleetScope.ModelScope = ScopeFleet
+	fleetScope.Model.Disabled = false
+	fleetScope.Arrivals.RatePerSec = 0.2
+	fleetScope.Model.RetrainEverySec = 100
+	fleetScope.Model.MinTrainRows = 16
+	fleetScope.Model.Scope = ScopeFleet
 	fleetScope.Injections = mustParseInjections("surge@t=100:dur=100:x=3")
 
 	elastic := testOptions()
-	elastic.Predictions = true
-	elastic.Arrival.RatePerSec = 0.2
-	elastic.ElasticPool = true
-	elastic.PlanEverySec = 100
+	elastic.Model.Disabled = false
+	elastic.Arrivals.RatePerSec = 0.2
+	elastic.Capacity.Elastic = true
+	elastic.Capacity.PlanEverySec = 100
 	elastic.Injections = mustParseInjections("resize@t=150:emc=1:slices=-8,drift@t=250:mag=0.5")
 
 	return map[string]Options{
@@ -48,7 +50,7 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 	for name, o := range snapshotCases() {
 		for _, workers := range []int{1, 4} {
 			o := o
-			o.Workers = workers
+			o.Engine.Workers = workers
 			t.Run(name+"/workers="+string(rune('0'+workers)), func(t *testing.T) {
 				t.Parallel()
 				ctx := context.Background()
@@ -68,7 +70,7 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 				prefix := ""
 				// Reassemble the drained prefix per stream for the byte check
 				// below: cells in cell order, fleet last — report layout.
-				perCell := make([]string, o.Cells)
+				perCell := make([]string, o.Cluster.Cells)
 				fleetPart := ""
 				for _, ev := range drained {
 					if ev.Cell < 0 {
@@ -95,7 +97,7 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				restored, err := RestoreRunner(ctx, &loaded)
+				restored, err := RestoreRunner(ctx, o, &loaded)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,15 +124,15 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 
 				// The remaining log after the snapshot point must be exactly
 				// the batch log minus the drained prefix, stream by stream.
-				restored2, err := RestoreRunner(ctx, snap)
+				restored2, err := RestoreRunner(ctx, o, snap)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := restored2.Advance(ctx, o.DurationSec); err != nil {
+				if err := restored2.Advance(ctx, o.Cluster.DurationSec); err != nil {
 					t.Fatal(err)
 				}
 				rest := restored2.DrainEvents()
-				perCell2 := make([]string, o.Cells)
+				perCell2 := make([]string, o.Cluster.Cells)
 				fleet2 := ""
 				for _, ev := range rest {
 					if ev.Cell < 0 {
@@ -214,16 +216,121 @@ func TestRestoreRejectsVersionAndShape(t *testing.T) {
 	}
 	bad := *snap
 	bad.Version = SnapshotVersion + 1
-	if _, err := RestoreRunner(ctx, &bad); err == nil {
+	if _, err := RestoreRunner(ctx, o, &bad); err == nil {
 		t.Fatal("wrong snapshot version accepted")
 	}
 	bad = *snap
 	bad.Cells = snap.Cells[:1]
-	if _, err := RestoreRunner(ctx, &bad); err == nil {
+	if _, err := RestoreRunner(ctx, o, &bad); err == nil {
 		t.Fatal("truncated cell list accepted")
 	}
-	if _, err := RestoreRunner(ctx, nil); err == nil {
+	if _, err := RestoreRunner(ctx, o, nil); err == nil {
 		t.Fatal("nil snapshot accepted")
+	}
+}
+
+// TestRestoreRejectsTamperedHeap pins that a restore checks every
+// pending event against the rebuilt cell instead of trusting the
+// snapshot. Each mutation is applied to a real mid-run snapshot after a
+// JSON round trip; an unchecked restore would succeed and the next
+// Advance panic (index out of range, a nil model manager) — at
+// workers > 1 on an engine goroutine, killing the process.
+func TestRestoreRejectsTamperedHeap(t *testing.T) {
+	ctx := context.Background()
+	o := testOptions() // predictions off: no cell-scoped model manager
+	r, err := NewRunner(ctx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Advance(ctx, 200); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pushed adds one event the way the cell queue would, sifting it up
+	// so the heap order holds and only the field under test is wrong. By
+	// default it fires at t=250: after the safe point, before the
+	// horizon, so an unchecked restore pops it on the next Advance.
+	pushed := func(h []EventState, ev EventState) []EventState {
+		if ev.At == 0 {
+			ev.At = 250
+		}
+		ev.Seq = seqRuntimeBand + 1<<30
+		h = append(h, ev)
+		for j := len(h) - 1; j > 0; {
+			i := (j - 1) / 2
+			if h[i].At < h[j].At || (h[i].At == h[j].At && h[i].Seq < h[j].Seq) {
+				break
+			}
+			h[i], h[j] = h[j], h[i]
+			j = i
+		}
+		return h
+	}
+	cases := []struct {
+		name   string
+		mutate func([]EventState) []EventState
+		want   string
+	}{
+		{"arrival-index", func(h []EventState) []EventState {
+			return pushed(h, EventState{Kind: evArrive, Idx: 1 << 30})
+		}, "arrival"},
+		{"injection-index", func(h []EventState) []EventState {
+			return pushed(h, EventState{Kind: evInject, Idx: 7})
+		}, "injection"},
+		{"retrain-without-manager", func(h []EventState) []EventState {
+			return pushed(h, EventState{Kind: evRetrain})
+		}, "retrain tick"},
+		{"unknown-kind", func(h []EventState) []EventState {
+			return pushed(h, EventState{Kind: 9})
+		}, "unknown kind"},
+		{"nan-time", func(h []EventState) []EventState {
+			return pushed(h, EventState{At: math.NaN(), Kind: evDepart})
+		}, "finite time"},
+		{"inf-time", func(h []EventState) []EventState {
+			return pushed(h, EventState{At: math.Inf(1), Kind: evDepart})
+		}, "finite time"},
+		{"before-safe-point", func(h []EventState) []EventState {
+			return pushed(h, EventState{At: 150, Kind: evDepart})
+		}, "safe point"},
+		{"heap-order", func(h []EventState) []EventState {
+			h[0], h[len(h)-1] = h[len(h)-1], h[0]
+			return h
+		}, "heap order"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var s Snapshot
+			if err := json.Unmarshal(wire, &s); err != nil {
+				t.Fatal(err)
+			}
+			s.Cells[1].Heap = tc.mutate(s.Cells[1].Heap)
+			restored, err := RestoreRunner(ctx, o, &s)
+			if err == nil {
+				t.Fatalf("tampered heap restored; the run then reports %v", restored.Advance(ctx, o.Cluster.DurationSec))
+			}
+			if !strings.Contains(err.Error(), "cell 1") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name cell 1 and %q", err, tc.want)
+			}
+		})
+	}
+	// The untampered snapshot still restores and finishes.
+	var s Snapshot
+	if err := json.Unmarshal(wire, &s); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreRunner(ctx, o, &s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.Finish(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -250,7 +357,7 @@ func TestAdvanceClampsToNow(t *testing.T) {
 	}
 	// An injection at a time after the true clock but before a bogus
 	// rewound one must still be accepted.
-	if err := r.AddInjection(Injection{Kind: InjectSurge, AtSec: 250, DurSec: 50, Factor: 2}); err != nil {
+	if err := r.AddInjection(Injection{kind: InjectSurge, atSec: 250, durSec: 50, factor: 2}); err != nil {
 		t.Fatalf("injection at t=250 refused after Advance(50): %v", err)
 	}
 	rep, err := r.Finish(ctx)
@@ -273,7 +380,7 @@ func TestAdvanceClampsToNow(t *testing.T) {
 // all still match the uncompacted batch run.
 func TestCompactDrainedPreservesHash(t *testing.T) {
 	o := testOptions()
-	o.Predictions = true
+	o.Model.Disabled = false
 	o.Injections = mustParseInjections("emc-fail@t=200")
 	ctx := context.Background()
 	batch, err := Run(ctx, o)
@@ -286,7 +393,7 @@ func TestCompactDrainedPreservesHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SetCompactDrained(true)
-	perCell := make([]string, o.Cells)
+	perCell := make([]string, o.Cluster.Cells)
 	fleetPart := ""
 	drain := func() {
 		for _, ev := range r.DrainEvents() {
@@ -325,7 +432,7 @@ func TestCompactDrainedPreservesHash(t *testing.T) {
 	if full != batch.EventLog {
 		t.Fatalf("drained reassembly differs from batch log (%d vs %d bytes)", len(full), len(batch.EventLog))
 	}
-	if got := EventLogSHA256(full, o.Cells); got != batch.LogSHA256 {
+	if got := EventLogSHA256(full, o.Cluster.Cells); got != batch.LogSHA256 {
 		t.Fatalf("EventLogSHA256(reassembly) = %s, want %s", got, batch.LogSHA256)
 	}
 }
@@ -336,7 +443,7 @@ func TestCompactDrainedPreservesHash(t *testing.T) {
 // batch hash.
 func TestSnapshotOfCompactedRunRestores(t *testing.T) {
 	o := testOptions()
-	o.Predictions = true
+	o.Model.Disabled = false
 	ctx := context.Background()
 	batch, err := Run(ctx, o)
 	if err != nil {
@@ -363,7 +470,7 @@ func TestSnapshotOfCompactedRunRestores(t *testing.T) {
 	if err := json.Unmarshal(wire, &loaded); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreRunner(ctx, &loaded)
+	restored, err := RestoreRunner(ctx, o, &loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +492,7 @@ func BenchmarkRestoreRunner(b *testing.B) {
 	for _, pause := range []float64{1000, 18000} {
 		b.Run(fmt.Sprintf("pause=%g", pause), func(b *testing.B) {
 			o := testOptions()
-			o.DurationSec = 20000
+			o.Cluster.DurationSec = 20000
 			ctx := context.Background()
 			r, err := NewRunner(ctx, o)
 			if err != nil {
@@ -411,7 +518,7 @@ func BenchmarkRestoreRunner(b *testing.B) {
 				if err := json.Unmarshal(wire, &s); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := RestoreRunner(ctx, &s); err != nil {
+				if _, err := RestoreRunner(ctx, o, &s); err != nil {
 					b.Fatal(err)
 				}
 			}

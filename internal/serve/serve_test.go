@@ -283,6 +283,7 @@ func TestEndpointsTable(t *testing.T) {
 			{`{"injection": "meteor@t=1"}`, "unknown injection"},
 			{`{"injection": "emc-fail@t=200:emc=99"}`, "targets EMC"},
 			{`{"injection": "emc-fail@t=50"}`, "before the current time"},
+			{`{"injection": "surge@t=200:dur=100:x=1e300"}`, "cap"},
 			{`{}`, `missing "injection"`},
 		}
 		for _, tc := range cases {

@@ -277,6 +277,26 @@ func TestRandDeterminism(t *testing.T) {
 	}
 }
 
+// TestShardSeedIsOrderIndependent pins the per-shard seeding every
+// parallel fan-out relies on: the same (root, shard) always maps to the
+// same seed, distinct shards to distinct seeds, and the root matters.
+func TestShardSeedIsOrderIndependent(t *testing.T) {
+	seen := map[int64]int{}
+	for shard := 0; shard < 1000; shard++ {
+		s := ShardSeed(42, shard)
+		if prev, dup := seen[s]; dup {
+			t.Fatalf("seed collision: shards %d and %d both map to %d", prev, shard, s)
+		}
+		seen[s] = shard
+	}
+	if ShardSeed(42, 7) != ShardSeed(42, 7) {
+		t.Fatal("ShardSeed not a pure function")
+	}
+	if ShardSeed(42, 7) == ShardSeed(43, 7) {
+		t.Fatal("root seed ignored")
+	}
+}
+
 func TestForkIndependence(t *testing.T) {
 	parent := NewRand(42)
 	c1 := parent.Fork(1)

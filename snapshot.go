@@ -26,9 +26,10 @@ const FleetSnapshotVersion = 1
 type FleetSnapshot struct {
 	Version int `json:"version"`
 	// Opts is the batch configuration that reproduces this run from
-	// scratch — the same value Config returns. A reader that only wants
-	// the configuration (or a tool downgrading to a re-run) can use it
-	// and ignore Sim.
+	// scratch — the same value Config returns. It is the snapshot's only
+	// copy of the configuration: RestoreFleet rebuilds the run from it
+	// and Sim. A reader that only wants the configuration (or a tool
+	// downgrading to a re-run) can use it and ignore Sim.
 	Opts FleetOpts `json:"opts"`
 	// Sim is the internal fleet.Snapshot, kept opaque so the internal
 	// layout can evolve under its own version without breaking this
@@ -72,7 +73,7 @@ func RestoreFleet(ctx context.Context, snap *FleetSnapshot) (*FleetRun, error) {
 	if err := json.Unmarshal(snap.Sim, &s); err != nil {
 		return nil, fmt.Errorf("pond: decoding snapshot: %w", err)
 	}
-	r, err := fleet.RestoreRunner(ctx, &s)
+	r, err := fleet.RestoreRunner(ctx, snap.Opts, &s)
 	if err != nil {
 		return nil, err
 	}
