@@ -111,14 +111,16 @@ soak-fleet:
 		-model-scope fleet -canary 0.25 -bake 2000 \
 		-inject drift@t=8000:cells=2-3:mag=0.8 -models models-soak-fleet.json
 
-# Fuzz the user-facing spec parsers for a bounded time each (seeds run
-# as plain tests on every `go test`; this explores further, as CI does).
+# Fuzz the user-facing spec parsers and the model import restores decode
+# for a bounded time each (seeds run as plain tests on every `go test`;
+# this explores further, as CI does).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInjections$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrival$$'    -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopologies$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSweep$$'      -fuzztime $(FUZZTIME) ./internal/experiments
+	$(GO) test -run '^$$' -fuzz '^FuzzImportModel$$'     -fuzztime $(FUZZTIME) ./internal/ml
 
 # Regenerate the committed golden event logs after an intentional
 # behaviour or log-format change.

@@ -196,19 +196,20 @@ func main() {
 		o.Model.Capture = f.modelsOut != ""
 		var rep *pond.FleetReport
 		var err error
-		if f.checkpoint != "" {
-			rep, err = runCheckpointable(context.Background(), o, f.checkpoint, f.resume, f.metricsOut)
+		if f.checkpoint != "" || f.metricsOut != "" {
+			rep, err = runSliced(context.Background(), o, f.checkpoint, f.resume, f.metricsOut)
 			if err == nil && rep == nil {
 				// A signal paused the run and its snapshot is on disk.
 				return
 			}
-		} else if f.metricsOut != "" {
-			rep, err = runStreamingMetrics(context.Background(), o, f.metricsOut)
 		} else {
 			rep, err = pond.RunFleet(context.Background(), o)
 		}
 		if err != nil {
 			cliutil.Fatal("pondfleet", err)
+		}
+		if f.metricsOut != "" && f.checkpoint == "" {
+			fmt.Printf("streamed metrics to %s\n", f.metricsOut)
 		}
 		reports = append(reports, rep)
 		fmt.Println(rep.Summary)
@@ -291,115 +292,65 @@ func (w *metricsWriter) Close() error {
 	return w.f.Close()
 }
 
-// runStreamingMetrics drives one run incrementally, draining the
-// sampled series to the -metrics file after every slice so the NDJSON
+// runSliced drives one run in horizon/64 slices, streaming the sampled
+// series to metricsPath (when set) after every slice so the NDJSON
 // output follows the simulation rather than appearing at the end.
-func runStreamingMetrics(ctx context.Context, o pond.FleetOpts, metricsPath string) (*pond.FleetReport, error) {
-	fr, err := pond.StartFleet(ctx, o)
-	if err != nil {
-		return nil, err
+//
+// With a checkpoint path, SIGTERM/SIGINT pauses the run at a safe point
+// and persists its full state, and runSliced returns (nil, nil);
+// resuming later continues from that point, and the final event log
+// and report hash are byte-identical to an uninterrupted run. Rows not
+// yet drained when a signal lands ride inside the snapshot and are
+// appended after -resume.
+func runSliced(ctx context.Context, o pond.FleetOpts, checkpoint string, resume bool, metricsPath string) (rep *pond.FleetReport, err error) {
+	var sig chan os.Signal // nil without a checkpoint: never ready
+	if checkpoint != "" {
+		// Install the handler before the (possibly slow) setup, so a
+		// signal that lands while the models train still pauses the run
+		// at its first safe point instead of killing the process.
+		sig = make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(sig)
 	}
-	mw, err := openMetricsWriter(metricsPath, false)
-	if err != nil {
-		return nil, err
-	}
-	horizon := fr.Progress().DurationSec
-	slice := horizon / 64
-	for !fr.Done() {
-		if err := fr.Advance(ctx, fr.Now()+slice); err != nil {
-			mw.Close()
-			return nil, err
-		}
-		if err := mw.writeRows(fr.DrainMetrics()); err != nil {
-			mw.Close()
-			return nil, err
-		}
-	}
-	rep, err := fr.Finish(ctx)
-	if err != nil {
-		mw.Close()
-		return nil, err
-	}
-	if err := mw.writeRows(fr.DrainMetrics()); err != nil {
-		mw.Close()
-		return nil, err
-	}
-	if err := mw.Close(); err != nil {
-		return nil, err
-	}
-	fmt.Printf("streamed metrics to %s\n", metricsPath)
-	return rep, nil
-}
-
-// runCheckpointable drives one run incrementally so SIGTERM/SIGINT can
-// pause it at a safe point and persist its full state. It returns
-// (nil, nil) when a signal stopped the run and the snapshot was
-// written; resuming later continues from that point, and the final
-// event log and report hash are byte-identical to an uninterrupted run.
-// With metricsPath set the sampled series streams to NDJSON alongside;
-// rows not yet drained when a signal lands ride inside the snapshot and
-// are appended after -resume.
-func runCheckpointable(ctx context.Context, o pond.FleetOpts, path string, resume bool, metricsPath string) (*pond.FleetReport, error) {
-	// Install the handler before the (possibly slow) setup, so a signal
-	// that lands while the models train still pauses the run at its
-	// first safe point instead of killing the process.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 
 	var fr *pond.FleetRun
 	if resume {
-		data, err := os.ReadFile(path)
+		data, err := os.ReadFile(checkpoint)
 		if err != nil {
 			return nil, fmt.Errorf("reading snapshot: %w", err)
 		}
 		var snap pond.FleetSnapshot
 		if err := json.Unmarshal(data, &snap); err != nil {
-			return nil, fmt.Errorf("corrupt snapshot %s: %w", path, err)
+			return nil, fmt.Errorf("corrupt snapshot %s: %w", checkpoint, err)
 		}
-		fr, err = pond.RestoreFleet(ctx, &snap)
-		if err != nil {
+		if fr, err = pond.RestoreFleet(ctx, &snap); err != nil {
 			return nil, err
 		}
-		fmt.Printf("resumed from %s at t=%.0fs\n", path, fr.Now())
-	} else {
-		var err error
-		fr, err = pond.StartFleet(ctx, o)
-		if err != nil {
-			return nil, err
-		}
+		fmt.Printf("resumed from %s at t=%.0fs\n", checkpoint, fr.Now())
+	} else if fr, err = pond.StartFleet(ctx, o); err != nil {
+		return nil, err
 	}
 
 	var mw *metricsWriter
 	if metricsPath != "" {
-		var err error
-		mw, err = openMetricsWriter(metricsPath, resume)
-		if err != nil {
+		if mw, err = openMetricsWriter(metricsPath, resume); err != nil {
 			return nil, err
 		}
-		defer mw.Close()
+		defer func() {
+			if cerr := mw.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 
-	fmt.Printf("checkpoint armed: SIGTERM/SIGINT writes a snapshot to %s\n", path)
-	horizon := fr.Progress().DurationSec
-	slice := horizon / 64
+	if checkpoint != "" {
+		fmt.Printf("checkpoint armed: SIGTERM/SIGINT writes a snapshot to %s\n", checkpoint)
+	}
+	slice := fr.Progress().DurationSec / 64
 	for !fr.Done() {
 		select {
 		case <-sig:
-			snap, err := fr.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			data, err := json.Marshal(snap)
-			if err != nil {
-				return nil, err
-			}
-			if err := fsutil.WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-			fmt.Printf("interrupted at t=%.0fs; snapshot written to %s (resume with -resume -checkpoint %s)\n",
-				fr.Now(), path, path)
-			return nil, nil
+			return nil, writeCheckpoint(fr, checkpoint)
 		default:
 		}
 		if err := fr.Advance(ctx, fr.Now()+slice); err != nil {
@@ -409,14 +360,31 @@ func runCheckpointable(ctx context.Context, o pond.FleetOpts, path string, resum
 			return nil, err
 		}
 	}
-	rep, err := fr.Finish(ctx)
-	if err != nil {
+	if rep, err = fr.Finish(ctx); err != nil {
 		return nil, err
 	}
 	if err := mw.writeRows(fr.DrainMetrics()); err != nil {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// writeCheckpoint persists the paused run's snapshot atomically.
+func writeCheckpoint(fr *pond.FleetRun, path string) error {
+	snap, err := fr.Snapshot()
+	if err != nil {
+		return err
+	}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		return err
+	}
+	if err := fsutil.WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("interrupted at t=%.0fs; snapshot written to %s (resume with -resume -checkpoint %s)\n",
+		fr.Now(), path, path)
+	return nil
 }
 
 func printComparison(reports []*pond.FleetReport) {

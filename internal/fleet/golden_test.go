@@ -12,9 +12,10 @@ import (
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite the golden event logs under testdata/golden from the current code")
 
-// goldenCases are three fixed fleet configurations — one per topology,
-// one injection each, the third exercising the fleet-scoped release
-// train — whose full event logs are committed under testdata/golden.
+// goldenCases are fixed fleet configurations — every topology, one
+// injection each, exercising the monitor-only manager, cell-scoped
+// retraining, the fleet-scoped release train and the elastic pool —
+// whose full event logs are committed under testdata/golden.
 // The determinism tests elsewhere only compare worker counts against
 // each other; these pin the absolute byte stream across commits, so a
 // change that shifts every worker count identically (an RNG reorder, a
@@ -48,8 +49,20 @@ func goldenCases() map[string]Options {
 	elastic.Capacity.PlanEverySec = 100
 	elastic.Injections = mustParseInjections("resize@t=150:emc=1:slices=-8,drift@t=250:mag=0.5")
 
+	// Cell-scoped retraining through a drift: both model families
+	// retrain, promote and demote, so the lifecycle's bytes are pinned
+	// across commits and not only between runs of one build.
+	retrain := testOptions()
+	retrain.Model.Disabled = false
+	retrain.Cluster.DurationSec = 800
+	retrain.Arrivals.RatePerSec = 0.3
+	retrain.Model.RetrainEverySec = 100
+	retrain.Model.MinTrainRows = 16
+	retrain.Injections = mustParseInjections("drift@t=300:mag=0.6")
+
 	return map[string]Options{
 		"flat-emc-fail":      flat,
+		"flat-retrain-drift": retrain,
 		"sharded-host-drain": sharded,
 		"sparse-surge-fleet": sparse,
 		"flat-elastic":       elastic,

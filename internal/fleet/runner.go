@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pond/internal/engine"
+	"pond/internal/mlops"
 	"pond/internal/mlops/fleetpipeline"
 	"pond/internal/predict"
 	"pond/internal/stats"
@@ -221,7 +222,7 @@ func (r *Runner) processBarrier(b barrier) error {
 			t0 = time.Now()
 		}
 		rows := make([][]fleetpipeline.Row, len(r.sims))
-		obs := make([][]fleetpipeline.Obs, len(r.sims))
+		obs := make([][]mlops.Obs, len(r.sims))
 		for i, s := range r.sims {
 			rows[i], obs[i] = s.col.Drain()
 		}

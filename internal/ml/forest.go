@@ -102,3 +102,6 @@ func (f *Forest) Predict(x []float64, threshold float64) bool {
 
 // Trees returns the ensemble size.
 func (f *Forest) Trees() int { return len(f.trees) }
+
+// Features returns the input width the ensemble reads.
+func (f *Forest) Features() int { return width(f.trees) }

@@ -139,3 +139,6 @@ func (m *GBM) Quantile() float64 { return m.quantile }
 
 // Stages returns the number of boosting stages.
 func (m *GBM) Stages() int { return len(m.trees) }
+
+// Features returns the input width the model reads (0 with no stages).
+func (m *GBM) Features() int { return width(m.trees) }

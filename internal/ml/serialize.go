@@ -56,16 +56,35 @@ func flattenTree(t *Tree) jsonTree {
 	return jt
 }
 
+// maxImportFeatures bounds the input width an imported tree may declare.
+const maxImportFeatures = 1 << 16
+
+// rebuildTree checks and rebuilds one tree. The node array must be the
+// pre-order walk flattenTree writes — an internal node's left child
+// directly after it, its right child directly after the left subtree —
+// which rules out cycles and shared subtrees and leaves no node
+// unreachable. Leaf ids must number the leaves exactly once, and every
+// split must read a feature below the declared width, so the tree
+// predicts on any input of that width.
 func rebuildTree(jt jsonTree) (*Tree, error) {
 	if len(jt.Nodes) == 0 {
 		return nil, fmt.Errorf("ml: empty tree")
 	}
+	if jt.Features < 0 || jt.Features > maxImportFeatures {
+		return nil, fmt.Errorf("ml: tree width %d outside [0, %d]", jt.Features, maxImportFeatures)
+	}
+	if jt.Leaves < 1 || jt.Leaves > len(jt.Nodes) {
+		return nil, fmt.Errorf("ml: tree declares %d leaves for %d nodes", jt.Leaves, len(jt.Nodes))
+	}
 	t := &Tree{features: jt.Features, leaves: make([]*node, jt.Leaves)}
-	var build func(idx int) (*node, error)
-	build = func(idx int) (*node, error) {
-		if idx < 0 || idx >= len(jt.Nodes) {
-			return nil, fmt.Errorf("ml: node index %d out of range", idx)
+	next := 0 // index of the next node in pre-order
+	var build func() (*node, error)
+	build = func() (*node, error) {
+		idx := next
+		if idx >= len(jt.Nodes) {
+			return nil, fmt.Errorf("ml: child node %d past the end of the %d-node tree", idx, len(jt.Nodes))
 		}
+		next++
 		jn := jt.Nodes[idx]
 		n := &node{
 			feature:   jn.Feature,
@@ -75,24 +94,36 @@ func rebuildTree(jt jsonTree) (*Tree, error) {
 			value:     jn.Value,
 		}
 		if n.leaf {
-			if n.leafID < 0 || n.leafID >= len(t.leaves) {
-				return nil, fmt.Errorf("ml: leaf id %d out of range", n.leafID)
+			if n.leafID < 0 || n.leafID >= len(t.leaves) || t.leaves[n.leafID] != nil {
+				return nil, fmt.Errorf("ml: leaf id %d out of range or repeated", n.leafID)
 			}
 			t.leaves[n.leafID] = n
 			return n, nil
 		}
+		if n.feature < 0 || n.feature >= t.features {
+			return nil, fmt.Errorf("ml: node %d splits on feature %d of a %d-wide tree", idx, n.feature, t.features)
+		}
 		var err error
-		if n.left, err = build(jn.Left); err != nil {
+		if jn.Left != next {
+			return nil, fmt.Errorf("ml: node %d has left child %d, want %d in pre-order", idx, jn.Left, next)
+		}
+		if n.left, err = build(); err != nil {
 			return nil, err
 		}
-		if n.right, err = build(jn.Right); err != nil {
+		if jn.Right != next {
+			return nil, fmt.Errorf("ml: node %d has right child %d, want %d in pre-order", idx, jn.Right, next)
+		}
+		if n.right, err = build(); err != nil {
 			return nil, err
 		}
 		return n, nil
 	}
-	root, err := build(0)
+	root, err := build()
 	if err != nil {
 		return nil, err
+	}
+	if next != len(jt.Nodes) {
+		return nil, fmt.Errorf("ml: %d of %d nodes unreachable from the root", len(jt.Nodes)-next, len(jt.Nodes))
 	}
 	t.root = root
 	for i, leaf := range t.leaves {
@@ -101,6 +132,23 @@ func rebuildTree(jt jsonTree) (*Tree, error) {
 		}
 	}
 	return t, nil
+}
+
+// rebuildTrees rebuilds an ensemble's trees, which must all read the
+// same input width.
+func rebuildTrees(jts []jsonTree) ([]*Tree, error) {
+	trees := make([]*Tree, 0, len(jts))
+	for i, jt := range jts {
+		t, err := rebuildTree(jt)
+		if err != nil {
+			return nil, err
+		}
+		if len(trees) > 0 && t.features != trees[0].features {
+			return nil, fmt.Errorf("ml: tree %d reads %d features, tree 0 reads %d", i, t.features, trees[0].features)
+		}
+		trees = append(trees, t)
+	}
+	return trees, nil
 }
 
 // jsonForest is the wire form of a Forest.
@@ -130,15 +178,11 @@ func ImportForest(r io.Reader) (*Forest, error) {
 	if len(jf.Trees) == 0 {
 		return nil, fmt.Errorf("ml: forest has no trees")
 	}
-	f := &Forest{}
-	for _, jt := range jf.Trees {
-		t, err := rebuildTree(jt)
-		if err != nil {
-			return nil, err
-		}
-		f.trees = append(f.trees, t)
+	trees, err := rebuildTrees(jf.Trees)
+	if err != nil {
+		return nil, err
 	}
-	return f, nil
+	return &Forest{trees: trees}, nil
 }
 
 // jsonGBM is the wire form of a GBM.
@@ -168,13 +212,9 @@ func ImportGBM(r io.Reader) (*GBM, error) {
 	if jg.Kind != "gbm" {
 		return nil, fmt.Errorf("ml: expected gbm, got %q", jg.Kind)
 	}
-	m := &GBM{init: jg.Init, lr: jg.LR, quantile: jg.Quantile}
-	for _, jt := range jg.Trees {
-		t, err := rebuildTree(jt)
-		if err != nil {
-			return nil, err
-		}
-		m.trees = append(m.trees, t)
+	trees, err := rebuildTrees(jg.Trees)
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
+	return &GBM{init: jg.Init, lr: jg.LR, quantile: jg.Quantile, trees: trees}, nil
 }

@@ -1007,6 +1007,15 @@ func (t *Tree) SetLeafValue(leafID int, v float64) {
 // Depth returns the maximum depth of the tree (root = 0).
 func (t *Tree) Depth() int { return depthOf(t.root) }
 
+// width is the input width an ensemble's trees read: every tree of a
+// fitted or imported ensemble shares it.
+func width(trees []*Tree) int {
+	if len(trees) == 0 {
+		return 0
+	}
+	return trees[0].features
+}
+
 func depthOf(n *node) int {
 	if n.leaf {
 		return 0

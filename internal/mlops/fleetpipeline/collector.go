@@ -13,26 +13,8 @@ import (
 // Row is one (admission-features, outcome) training example, the unit
 // the fleet corpus pools across cells.
 type Row struct {
-	Feats []float64
-	Label float64
-}
-
-// Obs is one departed VM's shadow-scoring result, stamped with the
-// release versions that actually predicted at admission — a model must
-// be judged by what it said, not by whichever release is live when the
-// VM departs.
-type Obs struct {
-	ChampVer, ChallVer, FbVer    int
-	ChampLoss, ChallLoss, FbLoss float64
-}
-
-// pendingScore holds a placed VM's admission features and shadow
-// predictions until departure.
-type pendingScore struct {
-	feats                     []float64
-	champ, chall, fb          float64
-	champVer, challVer, fbVer int
-	serve                     float64
+	Feats []float64 `json:"feats"`
+	Label float64   `json:"label"`
 }
 
 // Collector is the fleet pipeline's agent inside one cell: it
@@ -53,16 +35,15 @@ type Collector struct {
 	windowCap   int
 
 	// Distributed slots (installed at barriers via Install).
-	champ, chall, fb          predict.Untouched
-	champVer, challVer, fbVer int
-	serve                     predict.Untouched
-	serveVer                  int
+	slots    mlops.Slots[predict.Untouched]
+	serve    predict.Untouched
+	serveVer int
 
-	pending map[cluster.VMID]pendingScore
+	pending map[cluster.VMID]mlops.Pending
 
 	// Drained at each barrier.
 	rows []Row
-	obs  []Obs
+	obs  []mlops.Obs
 
 	// Whole-run serving quality.
 	sumServeLoss float64
@@ -87,13 +68,10 @@ func NewCollector(cell int, bootstrap predict.Untouched, insens predict.Insensit
 		cell:        cell,
 		overPenalty: overPenalty,
 		windowCap:   windowCap,
-		champ:       bootstrap,
-		champVer:    0,
-		challVer:    -1,
-		fbVer:       -1,
+		slots:       mlops.NewSlots(bootstrap),
 		serve:       bootstrap,
 		serveVer:    0,
-		pending:     make(map[cluster.VMID]pendingScore),
+		pending:     make(map[cluster.VMID]mlops.Pending),
 		insens:      insens,
 		ratio:       ratio,
 		pdm:         pdm,
@@ -105,9 +83,7 @@ func NewCollector(cell int, bootstrap predict.Untouched, insens predict.Insensit
 func (c *Collector) Install(a Assignment) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.champ, c.champVer = a.Champ, a.ChampVer
-	c.chall, c.challVer = a.Chall, a.ChallVer
-	c.fb, c.fbVer = a.Fb, a.FbVer
+	c.slots = a.Slots
 	c.serve, c.serveVer = a.Serve, a.ServeVer
 }
 
@@ -127,24 +103,9 @@ func (c *Collector) ObserveDecision(vm cluster.VMRequest, _ *pmu.Vector, umFeatu
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p := pendingScore{
-		feats:    append([]float64(nil), umFeatures...),
-		champVer: -1, challVer: -1, fbVer: -1,
-	}
-	if c.champ != nil {
-		p.champ = c.champ.PredictUntouchedFrac(p.feats)
-		p.champVer = c.champVer
-	}
-	if c.chall != nil {
-		p.chall = c.chall.PredictUntouchedFrac(p.feats)
-		p.challVer = c.challVer
-	}
-	if c.fb != nil {
-		p.fb = c.fb.PredictUntouchedFrac(p.feats)
-		p.fbVer = c.fbVer
-	}
+	p := mlops.ScoreAdmission(&c.slots, vm.ID, umFeatures)
 	if c.serve != nil {
-		p.serve = c.serve.PredictUntouchedFrac(p.feats)
+		p.Serve = c.serve.PredictUntouchedFrac(p.Feats)
 	}
 	c.pending[vm.ID] = p
 }
@@ -160,23 +121,13 @@ func (c *Collector) ObserveOutcome(vm cluster.VMRequest, counters pmu.Vector, ha
 	if p, ok := c.pending[vm.ID]; ok {
 		delete(c.pending, vm.ID)
 		label := vm.GroundTruth.UntouchedFrac
-		c.rows = append(c.rows, Row{Feats: p.feats, Label: label})
-		o := Obs{ChampVer: p.champVer, ChallVer: p.challVer, FbVer: p.fbVer}
-		if p.champVer >= 0 {
-			o.ChampLoss = mlops.UMLoss(p.champ, label, c.overPenalty)
-		}
-		if p.challVer >= 0 {
-			o.ChallLoss = mlops.UMLoss(p.chall, label, c.overPenalty)
-		}
-		if p.fbVer >= 0 {
-			o.FbLoss = mlops.UMLoss(p.fb, label, c.overPenalty)
-		}
-		c.obs = append(c.obs, o)
+		c.rows = append(c.rows, Row{Feats: p.Feats, Label: label})
+		c.obs = append(c.obs, p.Close(label, c.overPenalty))
 
-		serveLoss := mlops.UMLoss(p.serve, label, c.overPenalty)
+		serveLoss := mlops.UMLoss(p.Serve, label, c.overPenalty)
 		c.sumServeLoss += serveLoss
 		c.outcomes++
-		c.serveWindow = appendCapped(c.serveWindow, serveLoss, c.windowCap)
+		c.serveWindow = mlops.AppendCapped(c.serveWindow, serveLoss, c.windowCap)
 	}
 
 	if haveCounters && c.insens != nil && vm.GroundTruth.Workload.Name != "" {
@@ -200,7 +151,7 @@ func (c *Collector) ForgetVM(id cluster.VMID) {
 // Drain returns the training rows and holdout observations recorded
 // since the previous barrier, clearing both. VMs still in flight stay
 // pending and surface at a later barrier, after they depart.
-func (c *Collector) Drain() ([]Row, []Obs) {
+func (c *Collector) Drain() ([]Row, []mlops.Obs) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rows, obs := c.rows, c.obs

@@ -20,7 +20,10 @@
 // After a fleet-wide promotion the previous champion is retained as a
 // fallback and shadow-scored everywhere; a fallback that beats the new
 // champion on the fleet-wide window forces a demotion, mirroring the
-// per-cell lifecycle's regression guard.
+// per-cell lifecycle's regression guard. The contender slots, shadow
+// scores, observations and pair losses are internal/mlops's; this
+// package adds the rings, the bakes, the pooled corpus and the cells'
+// Collectors.
 //
 // Everything is deterministic: the driver ticks the Manager serially at
 // barrier times with per-cell inputs in cell order, training seeds
@@ -185,11 +188,10 @@ func (e Event) String() string {
 
 // Assignment is what one cell serves and shadow-scores after a barrier.
 type Assignment struct {
-	// Champ/Chall/Fb are the shadow-scoring slots with their release
-	// versions (-1 = slot empty). Every cell shadow-scores all live
-	// contenders; only canary membership decides which one serves.
-	Champ, Chall, Fb          predict.Untouched
-	ChampVer, ChallVer, FbVer int
+	// Slots are the shadow-scoring contenders with their release
+	// versions. Every cell shadow-scores all live contenders; only canary
+	// membership decides which one serves.
+	mlops.Slots[predict.Untouched]
 
 	// Serve is the model on the cell's request path, with its version
 	// and role ("champion" on control cells, "canary" while the cell
@@ -204,9 +206,8 @@ type Assignment struct {
 type Manager struct {
 	cfg Config
 
-	champ, chall, fb          predict.Untouched
-	champVer, challVer, fbVer int
-	nextVer                   int
+	slots   mlops.Slots[predict.Untouched]
+	nextVer int
 
 	stage      string
 	canaryLo   int // canary cell range [canaryLo, canaryHi], valid in StageCanary
@@ -221,10 +222,10 @@ type Manager struct {
 	newRows int
 
 	// win[cell] is the cell's rolling shadow-score window.
-	win [][]Obs
+	win [][]mlops.Obs
 
 	// meta records training provenance per release version.
-	meta map[int]trainMeta
+	meta map[int]MetaState
 
 	events []Event
 }
@@ -234,15 +235,12 @@ type Manager struct {
 func NewManager(cfg Config, bootstrap predict.Untouched) *Manager {
 	cfg = cfg.withDefaults()
 	return &Manager{
-		cfg:      cfg,
-		champ:    bootstrap,
-		champVer: 0,
-		challVer: -1,
-		fbVer:    -1,
-		nextVer:  1,
-		stage:    StageSteady,
-		win:      make([][]Obs, cfg.Cells),
-		meta:     make(map[int]trainMeta),
+		cfg:     cfg,
+		slots:   mlops.NewSlots(bootstrap),
+		nextVer: 1,
+		stage:   StageSteady,
+		win:     make([][]mlops.Obs, cfg.Cells),
+		meta:    make(map[int]MetaState),
 	}
 }
 
@@ -253,7 +251,7 @@ func (m *Manager) Config() Config { return m.cfg }
 func (m *Manager) Stage() string { return m.stage }
 
 // ChampionVer returns the fleet champion's release version.
-func (m *Manager) ChampionVer() int { return m.champVer }
+func (m *Manager) ChampionVer() int { return m.slots.ChampVer }
 
 // Events returns the rollout history in occurrence order.
 func (m *Manager) Events() []Event { return append([]Event(nil), m.events...) }
@@ -313,13 +311,9 @@ func (m *Manager) isCanary(cell int) bool {
 // AssignmentFor returns what the given cell serves and shadow-scores
 // right now.
 func (m *Manager) AssignmentFor(cell int) Assignment {
-	a := Assignment{
-		Champ: m.champ, Chall: m.chall, Fb: m.fb,
-		ChampVer: m.champVer, ChallVer: m.challVer, FbVer: m.fbVer,
-		Serve: m.champ, ServeVer: m.champVer, Role: "champion",
-	}
+	a := Assignment{Slots: m.slots, Serve: m.slots.Champ, ServeVer: m.slots.ChampVer, Role: "champion"}
 	if m.isCanary(cell) {
-		a.Serve, a.ServeVer, a.Role = m.chall, m.challVer, "canary"
+		a.Serve, a.ServeVer, a.Role = m.slots.Chall, m.slots.ChallVer, "canary"
 	}
 	return a
 }
@@ -329,7 +323,7 @@ func (m *Manager) AssignmentFor(cell int) Assignment {
 // must have exactly cfg.Cells entries. It returns the stage transitions
 // it produced, in order, for the caller's event log; the caller then
 // re-reads AssignmentFor for every cell.
-func (m *Manager) Tick(nowSec float64, rows [][]Row, obs [][]Obs) ([]Event, error) {
+func (m *Manager) Tick(nowSec float64, rows [][]Row, obs [][]mlops.Obs) ([]Event, error) {
 	if len(rows) != m.cfg.Cells || len(obs) != m.cfg.Cells {
 		return nil, fmt.Errorf("fleetpipeline: tick got %d row sets and %d obs sets for %d cells",
 			len(rows), len(obs), m.cfg.Cells)
@@ -351,7 +345,7 @@ func (m *Manager) Tick(nowSec float64, rows [][]Row, obs [][]Obs) ([]Event, erro
 	}
 	for cell, cellObs := range obs {
 		for _, o := range cellObs {
-			m.win[cell] = appendCapped(m.win[cell], o, m.cfg.HoldoutWindow)
+			m.win[cell] = mlops.AppendCapped(m.win[cell], o, m.cfg.HoldoutWindow)
 		}
 	}
 
@@ -359,25 +353,23 @@ func (m *Manager) Tick(nowSec float64, rows [][]Row, obs [][]Obs) ([]Event, erro
 
 	// Verdict on a baked canary release.
 	if m.stage == StageCanary && nowSec >= m.bakeEndSec {
-		champ, chall, n := m.pooledPairLoss(m.canaryLo, m.canaryHi, "chall")
+		champ, chall, n := m.slots.PairLoss(mlops.Challenger, m.win[m.canaryLo:m.canaryHi+1]...)
 		switch {
 		case n < m.cfg.MinHoldout:
 			// Too few canary departures to judge: extend the bake to the
 			// next barrier rather than promoting blind.
-			out = append(out, Event{AtSec: nowSec, Kind: EventHold, Ver: m.challVer, N: n})
+			out = append(out, Event{AtSec: nowSec, Kind: EventHold, Ver: m.slots.ChallVer, N: n})
 		case chall < champ*(1-m.cfg.PromoteMargin):
 			// Fan out fleet-wide; the displaced champion stays as the
 			// fallback regression guard.
-			m.fb, m.fbVer = m.champ, m.champVer
-			m.champ, m.champVer = m.chall, m.challVer
-			m.chall, m.challVer = nil, -1
+			m.slots.Promote()
 			m.stage = StageSteady
-			out = append(out, Event{AtSec: nowSec, Kind: EventPromote, Ver: m.champVer,
+			out = append(out, Event{AtSec: nowSec, Kind: EventPromote, Ver: m.slots.ChampVer,
 				ChampLoss: champ, ChallLoss: chall, N: n})
 		default:
 			// Roll back: every canary cell re-pins the champion.
-			ver := m.challVer
-			m.chall, m.challVer = nil, -1
+			ver := m.slots.ChallVer
+			m.slots.DropChallenger()
 			m.stage = StageSteady
 			out = append(out, Event{AtSec: nowSec, Kind: EventRollback, Ver: ver,
 				ChampLoss: champ, ChallLoss: chall, N: n})
@@ -389,32 +381,28 @@ func (m *Manager) Tick(nowSec float64, rows [][]Row, obs [][]Obs) ([]Event, erro
 	// release already baking on top of the regressed champion is rolled
 	// back with it — its verdict would compare against a champion that no
 	// longer serves.
-	if m.fb != nil {
-		if champ, fb, n := m.pooledPairLoss(0, m.cfg.Cells-1, "fb"); n >= m.cfg.MinHoldout && fb < champ*(1-m.cfg.PromoteMargin) {
-			if m.stage == StageCanary {
-				out = append(out, Event{AtSec: nowSec, Kind: EventRollback, Ver: m.challVer})
-				m.chall, m.challVer = nil, -1
-				m.stage = StageSteady
-			}
-			m.champ, m.champVer = m.fb, m.fbVer
-			m.fb, m.fbVer = nil, -1
-			out = append(out, Event{AtSec: nowSec, Kind: EventDemote, Ver: m.champVer,
-				ChampLoss: champ, ChallLoss: fb, N: n})
+	if champ, fb, n := m.slots.PairLoss(mlops.Fallback, m.win...); n >= m.cfg.MinHoldout && fb < champ*(1-m.cfg.PromoteMargin) {
+		if m.stage == StageCanary {
+			out = append(out, Event{AtSec: nowSec, Kind: EventRollback, Ver: m.slots.ChallVer})
+			m.slots.DropChallenger()
+			m.stage = StageSteady
 		}
+		m.slots.Demote()
+		out = append(out, Event{AtSec: nowSec, Kind: EventDemote, Ver: m.slots.ChampVer,
+			ChampLoss: champ, ChallLoss: fb, N: n})
 	}
 
 	// Train the next release from the pooled corpus and open its canary.
 	// Fresh rows are required: retraining on an unchanged corpus would
 	// ship an identical model through a pointless bake.
-	if m.stage == StageSteady && m.chall == nil && len(m.x) >= m.cfg.MinTrainRows && m.newRows > 0 {
+	if m.stage == StageSteady && m.slots.ChallVer < 0 && len(m.x) >= m.cfg.MinTrainRows && m.newRows > 0 {
 		ver := m.nextVer
 		m.nextVer++
 		quantile := 1 / (1 + m.cfg.OverPenalty)
 		seed := m.cfg.Seed + int64(ver)*7919 + 3
-		m.chall = predict.TrainGBMUntouched(m.x, m.y, quantile, seed)
-		m.challVer = ver
+		m.slots.Chall, m.slots.ChallVer = predict.TrainGBMUntouched(m.x, m.y, quantile, seed), ver
 		m.newRows = 0
-		m.meta[ver] = trainMeta{AtSec: nowSec, Rows: len(m.x)}
+		m.meta[ver] = MetaState{Ver: ver, AtSec: nowSec, Rows: len(m.x)}
 		out = append(out, Event{AtSec: nowSec, Kind: EventRetrain, Ver: ver, Rows: len(m.x)})
 
 		m.canaryLo, m.canaryHi = m.ringFor(ver)
@@ -426,38 +414,6 @@ func (m *Manager) Tick(nowSec float64, rows [][]Row, obs [][]Obs) ([]Event, erro
 
 	m.events = append(m.events, out...)
 	return out, nil
-}
-
-// pooledPairLoss pools window entries over cells [lo, hi] where the
-// current champion and the given contender slot were both shadow-scored
-// live, returning their mean losses and the shared observation count.
-func (m *Manager) pooledPairLoss(lo, hi int, contender string) (champ, other float64, n int) {
-	for cell := lo; cell <= hi && cell < len(m.win); cell++ {
-		for _, o := range m.win[cell] {
-			if o.ChampVer != m.champVer {
-				continue
-			}
-			switch contender {
-			case "chall":
-				if m.challVer < 0 || o.ChallVer != m.challVer {
-					continue
-				}
-				other += o.ChallLoss
-			case "fb":
-				if m.fbVer < 0 || o.FbVer != m.fbVer {
-					continue
-				}
-				other += o.FbLoss
-			}
-			champ += o.ChampLoss
-			n++
-		}
-	}
-	if n > 0 {
-		champ /= float64(n)
-		other /= float64(n)
-	}
-	return champ, other, n
 }
 
 // Counts tallies the rollout history by kind.
@@ -483,14 +439,4 @@ func (m *Manager) Counts() Counts {
 		}
 	}
 	return c
-}
-
-// appendCapped appends to a FIFO buffer bounded at limit entries,
-// evicting the oldest when full.
-func appendCapped[T any](buf []T, v T, limit int) []T {
-	if len(buf) >= limit {
-		copy(buf, buf[1:])
-		buf = buf[:len(buf)-1]
-	}
-	return append(buf, v)
 }

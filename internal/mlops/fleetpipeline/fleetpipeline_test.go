@@ -5,6 +5,7 @@ import (
 
 	"pond/internal/cluster"
 	"pond/internal/core"
+	"pond/internal/mlops"
 	"pond/internal/pmu"
 	"pond/internal/predict"
 )
@@ -30,12 +31,12 @@ func testConfig(cells int) Config {
 // feed returns n rows/obs where the champion (version champVer, constant
 // champPred) and challenger (challVer, challPred) score VMs whose true
 // label is truth.
-func feed(n int, champVer int, champPred float64, challVer int, challPred, truth float64) ([]Row, []Obs) {
+func feed(n int, champVer int, champPred float64, challVer int, challPred, truth float64) ([]Row, []mlops.Obs) {
 	rows := make([]Row, n)
-	obs := make([]Obs, n)
+	obs := make([]mlops.Obs, n)
 	for i := range rows {
 		rows[i] = Row{Feats: []float64{float64(i)}, Label: truth}
-		o := Obs{ChampVer: champVer, ChallVer: challVer, FbVer: -1}
+		o := mlops.Obs{ChampVer: champVer, ChallVer: challVer, FbVer: -1}
 		o.ChampLoss = lossOf(champPred, truth)
 		if challVer >= 0 {
 			o.ChallLoss = lossOf(challPred, truth)
@@ -54,10 +55,10 @@ func lossOf(pred, truth float64) float64 {
 
 func TestTickRejectsWrongCellCount(t *testing.T) {
 	m := NewManager(testConfig(2), fixedUM(0.5))
-	if _, err := m.Tick(1, make([][]Row, 1), make([][]Obs, 2)); err == nil {
+	if _, err := m.Tick(1, make([][]Row, 1), make([][]mlops.Obs, 2)); err == nil {
 		t.Fatal("short row set should error")
 	}
-	if _, err := m.Tick(1, make([][]Row, 2), make([][]Obs, 3)); err == nil {
+	if _, err := m.Tick(1, make([][]Row, 2), make([][]mlops.Obs, 3)); err == nil {
 		t.Fatal("long obs set should error")
 	}
 }
@@ -67,7 +68,7 @@ func TestRetrainOpensCanaryOnLowestCells(t *testing.T) {
 	cfg.CanaryFraction = 0.25
 	m := NewManager(cfg, fixedUM(0.5))
 	rows, obs := feed(8, 0, 0.5, -1, 0, 0.5)
-	evs, err := m.Tick(1, [][]Row{rows, nil, nil, nil}, [][]Obs{obs, nil, nil, nil})
+	evs, err := m.Tick(1, [][]Row{rows, nil, nil, nil}, [][]mlops.Obs{obs, nil, nil, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func driveToCanary(t *testing.T, m *Manager, cells int) {
 	t.Helper()
 	rows, obs := feed(8, 0, 0.5, -1, 0, 0.5)
 	perRow := make([][]Row, cells)
-	perObs := make([][]Obs, cells)
+	perObs := make([][]mlops.Obs, cells)
 	perRow[0], perObs[0] = rows, obs
 	if _, err := m.Tick(1, perRow, perObs); err != nil {
 		t.Fatal(err)
@@ -135,7 +136,7 @@ func TestBadChallengerRollsBackFromCanary(t *testing.T) {
 	// Canary cell observes the challenger losing badly to the champion
 	// (truth 0.5: champion predicts 0.5, challenger way over at 0.9).
 	perRow := make([][]Row, 4)
-	perObs := make([][]Obs, 4)
+	perObs := make([][]mlops.Obs, 4)
 	_, perObs[0] = feed(8, 0, 0.5, challVer, 0.9, 0.5)
 	evs, err := m.Tick(3, perRow, perObs) // past bakeEnd = 1 + 2
 	if err != nil {
@@ -168,7 +169,7 @@ func TestGoodChallengerPromotesFleetWide(t *testing.T) {
 
 	// Both canary cells see the challenger beating the stale champion.
 	perRow := make([][]Row, 4)
-	perObs := make([][]Obs, 4)
+	perObs := make([][]mlops.Obs, 4)
 	_, perObs[0] = feed(4, 0, 0.1, challVer, 0.45, 0.5)
 	_, perObs[1] = feed(4, 0, 0.1, challVer, 0.45, 0.5)
 	evs, err := m.Tick(3, perRow, perObs)
@@ -202,7 +203,7 @@ func TestInsufficientCanaryHoldoutExtendsBake(t *testing.T) {
 
 	// Past the bake window but only 2 canary observations (< MinHoldout).
 	perRow := make([][]Row, 4)
-	perObs := make([][]Obs, 4)
+	perObs := make([][]mlops.Obs, 4)
 	_, perObs[0] = feed(2, 0, 0.5, challVer, 0.9, 0.5)
 	evs, err := m.Tick(3, perRow, perObs)
 	if err != nil {
@@ -229,7 +230,7 @@ func TestRegressedFanOutDemotesToFallback(t *testing.T) {
 
 	// Promote on strong canary data...
 	perRow := make([][]Row, 2)
-	perObs := make([][]Obs, 2)
+	perObs := make([][]mlops.Obs, 2)
 	_, perObs[0] = feed(8, 0, 0.1, challVer, 0.45, 0.5)
 	if _, err := m.Tick(3, perRow, perObs); err != nil {
 		t.Fatal(err)
@@ -239,10 +240,10 @@ func TestRegressedFanOutDemotesToFallback(t *testing.T) {
 	}
 	// ...then the fleet-wide window shows the fallback was better all
 	// along (labels moved back under the old model).
-	perObs = make([][]Obs, 2)
-	fbObs := make([]Obs, 8)
+	perObs = make([][]mlops.Obs, 2)
+	fbObs := make([]mlops.Obs, 8)
 	for i := range fbObs {
-		fbObs[i] = Obs{ChampVer: challVer, ChallVer: -1, FbVer: 0,
+		fbObs[i] = mlops.Obs{ChampVer: challVer, ChallVer: -1, FbVer: 0,
 			ChampLoss: lossOf(0.45, 0.1), FbLoss: lossOf(0.1, 0.1)}
 	}
 	perObs[0] = fbObs
@@ -344,8 +345,10 @@ func TestCollectorServingChallengerQuality(t *testing.T) {
 	col := NewCollector(0, fixedUM(0.3), nil, 1.82, 0.05, 3, 16)
 	chall := fixedUM(0.55)
 	col.Install(Assignment{
-		Champ: fixedUM(0.3), ChampVer: 0,
-		Chall: chall, ChallVer: 1, FbVer: -1,
+		Slots: mlops.Slots[predict.Untouched]{
+			Champ: fixedUM(0.3), ChampVer: 0,
+			Chall: chall, ChallVer: 1, FbVer: -1,
+		},
 		Serve: chall, ServeVer: 1, Role: "canary",
 	})
 	vm := cluster.VMRequest{ID: 2, Type: cluster.VMTypes()[0],
@@ -440,7 +443,7 @@ func TestCanaryRingRotatesPerRelease(t *testing.T) {
 	for release := 1; release <= 5; release++ {
 		now += 10 // comfortably past every bake window
 		rows := make([][]Row, 4)
-		obs := make([][]Obs, 4)
+		obs := make([][]mlops.Obs, 4)
 		for c := 0; c < 4; c++ {
 			r, _ := feed(8, 0, 0.5, -1, 0, 0.5)
 			rows[c] = r

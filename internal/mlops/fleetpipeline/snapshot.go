@@ -4,47 +4,19 @@ import (
 	"encoding/json"
 
 	"pond/internal/mlops"
-	"pond/internal/predict"
 )
-
-// trainMeta records how a release version was produced.
-type trainMeta struct {
-	AtSec float64
-	Rows  int
-}
 
 // SnapshotJSON dumps the release train's live models — champion first —
 // in the same auditable wire form as the per-cell lifecycle dumps
 // (internal/mlops), with Cell set to -1: fleet releases belong to no
 // single cell.
 func (m *Manager) SnapshotJSON() (json.RawMessage, error) {
-	slots := []struct {
-		role  string
-		model predict.Untouched
-		ver   int
-	}{
-		{"champion", m.champ, m.champVer},
-		{"challenger", m.chall, m.challVer},
-		{"fallback", m.fb, m.fbVer},
-	}
-	var out []mlops.ModelSnapshot
-	for _, s := range slots {
-		if s.model == nil {
-			continue
-		}
-		raw, err := mlops.MarshalUM(s.model)
-		if err != nil {
-			return nil, err
-		}
-		snap := mlops.ModelSnapshot{
-			Cell: -1, Family: mlops.FamilyUM, Role: s.role,
-			Ver: s.ver, Name: s.model.Name(), Model: raw,
-		}
-		if meta, ok := m.meta[s.ver]; ok {
-			snap.TrainedAtSec = meta.AtSec
-			snap.Rows = meta.Rows
-		}
-		out = append(out, snap)
+	out, err := mlops.DumpUM(&m.slots, -1, func(ver int) (float64, int) {
+		ms := m.meta[ver]
+		return ms.AtSec, ms.Rows
+	})
+	if err != nil {
+		return nil, err
 	}
 	return json.MarshalIndent(out, "", "  ")
 }

@@ -2,10 +2,11 @@ package fleetpipeline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"pond/internal/cluster"
 	"pond/internal/mlops"
+	"pond/internal/predict"
 )
 
 // MetaState is one release version's training provenance.
@@ -13,22 +14,6 @@ type MetaState struct {
 	Ver   int     `json:"ver"`
 	AtSec float64 `json:"at_sec"`
 	Rows  int     `json:"rows"`
-}
-
-// ObsState is one departed VM's shadow-scoring result.
-type ObsState struct {
-	ChampVer  int     `json:"champ_ver"`
-	ChallVer  int     `json:"chall_ver"`
-	FbVer     int     `json:"fb_ver"`
-	ChampLoss float64 `json:"champ_loss"`
-	ChallLoss float64 `json:"chall_loss"`
-	FbLoss    float64 `json:"fb_loss"`
-}
-
-// RowState is one pooled training example.
-type RowState struct {
-	Feats []float64 `json:"feats"`
-	Label float64   `json:"label"`
 }
 
 // ManagerState is the serializable state of the fleet release train:
@@ -54,68 +39,33 @@ type ManagerState struct {
 	Y       []float64   `json:"y,omitempty"`
 	NewRows int         `json:"new_rows,omitempty"`
 
-	Win [][]ObsState `json:"win,omitempty"`
+	Win [][]mlops.Obs `json:"win,omitempty"`
 
 	Meta   []MetaState `json:"meta,omitempty"`
 	Events []Event     `json:"events,omitempty"`
 }
 
-func obsStates(in []Obs) []ObsState {
-	var out []ObsState
-	for _, o := range in {
-		out = append(out, ObsState{
-			ChampVer: o.ChampVer, ChallVer: o.ChallVer, FbVer: o.FbVer,
-			ChampLoss: o.ChampLoss, ChallLoss: o.ChallLoss, FbLoss: o.FbLoss,
-		})
-	}
-	return out
-}
-
-func obsFromStates(in []ObsState) []Obs {
-	var out []Obs
-	for _, o := range in {
-		out = append(out, Obs{
-			ChampVer: o.ChampVer, ChallVer: o.ChallVer, FbVer: o.FbVer,
-			ChampLoss: o.ChampLoss, ChallLoss: o.ChallLoss, FbLoss: o.FbLoss,
-		})
-	}
-	return out
-}
-
 // State captures the release train's full state for serialization.
 func (m *Manager) State() (ManagerState, error) {
-	var s ManagerState
+	s := ManagerState{
+		ChampVer: m.slots.ChampVer, ChallVer: m.slots.ChallVer, FbVer: m.slots.FbVer, NextVer: m.nextVer,
+		Stage: m.stage, CanaryLo: m.canaryLo, CanaryHi: m.canaryHi, BakeEndSec: m.bakeEndSec,
+		X: slices.Clone(m.x), Y: slices.Clone(m.y), NewRows: m.newRows,
+		Win:    make([][]mlops.Obs, len(m.win)),
+		Events: slices.Clone(m.events),
+	}
 	var err error
-	if s.Champ, err = mlops.UMState(m.champ); err != nil {
+	if s.Champ, s.Chall, s.Fb, err = mlops.UMSlotStates(&m.slots); err != nil {
 		return ManagerState{}, err
 	}
-	if s.Chall, err = mlops.UMState(m.chall); err != nil {
-		return ManagerState{}, err
-	}
-	if s.Fb, err = mlops.UMState(m.fb); err != nil {
-		return ManagerState{}, err
-	}
-	s.ChampVer, s.ChallVer, s.FbVer, s.NextVer = m.champVer, m.challVer, m.fbVer, m.nextVer
-	s.Stage, s.CanaryLo, s.CanaryHi, s.BakeEndSec = m.stage, m.canaryLo, m.canaryHi, m.bakeEndSec
-	for _, x := range m.x {
-		s.X = append(s.X, append([]float64(nil), x...))
-	}
-	s.Y = append([]float64(nil), m.y...)
-	s.NewRows = m.newRows
-	s.Win = make([][]ObsState, len(m.win))
+	// Windows shift in place as they fill; the state keeps its own copy.
 	for c, w := range m.win {
-		s.Win[c] = obsStates(w)
+		s.Win[c] = append([]mlops.Obs(nil), w...)
 	}
-	vers := make([]int, 0, len(m.meta))
-	for v := range m.meta {
-		vers = append(vers, v)
+	for _, ms := range m.meta {
+		s.Meta = append(s.Meta, ms)
 	}
-	sort.Ints(vers)
-	for _, v := range vers {
-		tm := m.meta[v]
-		s.Meta = append(s.Meta, MetaState{Ver: v, AtSec: tm.AtSec, Rows: tm.Rows})
-	}
-	s.Events = append([]Event(nil), m.events...)
+	sort.Slice(s.Meta, func(i, j int) bool { return s.Meta[i].Ver < s.Meta[j].Ver })
 	return s, nil
 }
 
@@ -125,35 +75,30 @@ func (m *Manager) SetState(s ManagerState) error {
 	if len(s.Win) != 0 && len(s.Win) != len(m.win) {
 		return fmt.Errorf("fleetpipeline: state has %d cell windows, manager has %d", len(s.Win), len(m.win))
 	}
-	var err error
-	if m.champ, err = mlops.LoadUMState(s.Champ); err != nil {
+	switch {
+	case s.Stage == StageCanary && (s.CanaryLo < 0 || s.CanaryLo > s.CanaryHi || s.CanaryHi >= m.cfg.Cells):
+		return fmt.Errorf("fleetpipeline: canary cells %d-%d outside the %d-cell fleet", s.CanaryLo, s.CanaryHi, m.cfg.Cells)
+	case s.Stage != StageCanary && s.Stage != StageSteady:
+		return fmt.Errorf("fleetpipeline: unknown rollout stage %q", s.Stage)
+	}
+	slots := mlops.Slots[predict.Untouched]{ChampVer: s.ChampVer, ChallVer: s.ChallVer, FbVer: s.FbVer}
+	if err := mlops.SetUMSlots(&slots, s.Champ, s.Chall, s.Fb); err != nil {
 		return err
 	}
-	if m.chall, err = mlops.LoadUMState(s.Chall); err != nil {
-		return err
-	}
-	if m.fb, err = mlops.LoadUMState(s.Fb); err != nil {
-		return err
-	}
-	m.champVer, m.challVer, m.fbVer, m.nextVer = s.ChampVer, s.ChallVer, s.FbVer, s.NextVer
+	m.slots, m.nextVer = slots, s.NextVer
 	m.stage, m.canaryLo, m.canaryHi, m.bakeEndSec = s.Stage, s.CanaryLo, s.CanaryHi, s.BakeEndSec
-	m.x = nil
-	for _, x := range s.X {
-		m.x = append(m.x, append([]float64(nil), x...))
-	}
-	m.y = append([]float64(nil), s.Y...)
-	m.newRows = s.NewRows
+	m.x, m.y, m.newRows = mlops.CloneRows(s.X), slices.Clone(s.Y), s.NewRows
 	for c := range m.win {
 		m.win[c] = nil
 	}
 	for c, w := range s.Win {
-		m.win[c] = obsFromStates(w)
+		m.win[c] = append([]mlops.Obs(nil), w...)
 	}
-	m.meta = make(map[int]trainMeta, len(s.Meta))
+	m.meta = make(map[int]MetaState, len(s.Meta))
 	for _, ms := range s.Meta {
-		m.meta[ms.Ver] = trainMeta{AtSec: ms.AtSec, Rows: ms.Rows}
+		m.meta[ms.Ver] = ms
 	}
-	m.events = append([]Event(nil), s.Events...)
+	m.events = slices.Clone(s.Events)
 	return nil
 }
 
@@ -162,37 +107,20 @@ func (m *Manager) SetState(s ManagerState) error {
 // Restores use it to re-pin collectors without replaying the barrier
 // that installed them.
 func (m *Manager) AssignmentForServeVer(serveVer int) (Assignment, error) {
-	a := Assignment{
-		Champ: m.champ, Chall: m.chall, Fb: m.fb,
-		ChampVer: m.champVer, ChallVer: m.challVer, FbVer: m.fbVer,
-		ServeVer: serveVer, Role: "champion",
-	}
+	a := Assignment{Slots: m.slots, ServeVer: serveVer, Role: "champion"}
 	switch serveVer {
-	case m.champVer:
-		a.Serve = m.champ
-	case m.challVer:
-		a.Serve = m.chall
+	case m.slots.ChampVer:
+		a.Serve = m.slots.Champ
+	case m.slots.ChallVer:
+		a.Serve = m.slots.Chall
 		a.Role = "canary"
-	case m.fbVer:
-		a.Serve = m.fb
+	case m.slots.FbVer:
+		a.Serve = m.slots.Fb
 	default:
 		return Assignment{}, fmt.Errorf("fleetpipeline: serving version %d matches no live slot (champ=%d chall=%d fb=%d)",
-			serveVer, m.champVer, m.challVer, m.fbVer)
+			serveVer, m.slots.ChampVer, m.slots.ChallVer, m.slots.FbVer)
 	}
 	return a, nil
-}
-
-// PendingState is one in-flight VM's shadow scores.
-type PendingState struct {
-	VM       cluster.VMID `json:"vm"`
-	Feats    []float64    `json:"feats"`
-	Champ    float64      `json:"champ"`
-	Chall    float64      `json:"chall"`
-	Fb       float64      `json:"fb"`
-	Serve    float64      `json:"serve"`
-	ChampVer int          `json:"champ_ver"`
-	ChallVer int          `json:"chall_ver"`
-	FbVer    int          `json:"fb_ver"`
 }
 
 // CollectorState is the serializable state of one cell's collector. The
@@ -205,9 +133,9 @@ type CollectorState struct {
 	FbVer    int `json:"fb_ver"`
 	ServeVer int `json:"serve_ver"`
 
-	Pending []PendingState `json:"pending,omitempty"`
-	Rows    []RowState     `json:"rows,omitempty"`
-	Obs     []ObsState     `json:"obs,omitempty"`
+	Pending []mlops.Pending `json:"pending,omitempty"`
+	Rows    []Row           `json:"rows,omitempty"`
+	Obs     []mlops.Obs     `json:"obs,omitempty"`
 
 	SumServeLoss float64   `json:"sum_serve_loss,omitempty"`
 	Outcomes     int       `json:"outcomes,omitempty"`
@@ -221,30 +149,15 @@ type CollectorState struct {
 func (c *Collector) State() CollectorState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := CollectorState{
-		ChampVer: c.champVer, ChallVer: c.challVer, FbVer: c.fbVer, ServeVer: c.serveVer,
+	return CollectorState{
+		ChampVer: c.slots.ChampVer, ChallVer: c.slots.ChallVer, FbVer: c.slots.FbVer, ServeVer: c.serveVer,
+		Pending:      mlops.PendingList(c.pending),
+		Rows:         slices.Clone(c.rows),
+		Obs:          slices.Clone(c.obs),
 		SumServeLoss: c.sumServeLoss, Outcomes: c.outcomes,
-		ServeWindow: append([]float64(nil), c.serveWindow...),
+		ServeWindow: slices.Clone(c.serveWindow),
 		SumInsLoss:  c.sumInsLoss, InsN: c.insN,
 	}
-	ids := make([]cluster.VMID, 0, len(c.pending))
-	for id := range c.pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		p := c.pending[id]
-		s.Pending = append(s.Pending, PendingState{
-			VM: id, Feats: append([]float64(nil), p.feats...),
-			Champ: p.champ, Chall: p.chall, Fb: p.fb, Serve: p.serve,
-			ChampVer: p.champVer, ChallVer: p.challVer, FbVer: p.fbVer,
-		})
-	}
-	for _, r := range c.rows {
-		s.Rows = append(s.Rows, RowState{Feats: append([]float64(nil), r.Feats...), Label: r.Label})
-	}
-	s.Obs = obsStates(c.obs)
-	return s
 }
 
 // SetState restores a state captured by State onto a freshly built
@@ -253,26 +166,19 @@ func (c *Collector) State() CollectorState {
 func (c *Collector) SetState(s CollectorState) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.champVer != s.ChampVer || c.challVer != s.ChallVer || c.fbVer != s.FbVer || c.serveVer != s.ServeVer {
+	if c.slots.ChampVer != s.ChampVer || c.slots.ChallVer != s.ChallVer || c.slots.FbVer != s.FbVer || c.serveVer != s.ServeVer {
 		return fmt.Errorf("fleetpipeline: cell %d collector slots (%d,%d,%d serve %d) do not match state (%d,%d,%d serve %d)",
-			c.cell, c.champVer, c.challVer, c.fbVer, c.serveVer, s.ChampVer, s.ChallVer, s.FbVer, s.ServeVer)
+			c.cell, c.slots.ChampVer, c.slots.ChallVer, c.slots.FbVer, c.serveVer, s.ChampVer, s.ChallVer, s.FbVer, s.ServeVer)
 	}
-	c.pending = make(map[cluster.VMID]pendingScore, len(s.Pending))
-	for _, p := range s.Pending {
-		c.pending[p.VM] = pendingScore{
-			feats: append([]float64(nil), p.Feats...),
-			champ: p.Champ, chall: p.Chall, fb: p.Fb, serve: p.Serve,
-			champVer: p.ChampVer, challVer: p.ChallVer, fbVer: p.FbVer,
-		}
-	}
+	c.pending = mlops.PendingMap(s.Pending)
 	c.rows = nil
 	for _, r := range s.Rows {
-		c.rows = append(c.rows, Row{Feats: append([]float64(nil), r.Feats...), Label: r.Label})
+		c.rows = append(c.rows, Row{Feats: slices.Clone(r.Feats), Label: r.Label})
 	}
-	c.obs = obsFromStates(s.Obs)
+	c.obs = slices.Clone(s.Obs)
 	c.sumServeLoss = s.SumServeLoss
 	c.outcomes = s.Outcomes
-	c.serveWindow = append([]float64(nil), s.ServeWindow...)
+	c.serveWindow = slices.Clone(s.ServeWindow)
 	c.sumInsLoss = s.SumInsLoss
 	c.insN = s.InsN
 	return nil

@@ -3,6 +3,7 @@ package fleetpipeline
 import (
 	"pond/internal/cluster"
 	"pond/internal/core"
+	"pond/internal/mlops"
 	"pond/internal/pmu"
 	"pond/internal/predict"
 	"pond/internal/stats"
@@ -59,7 +60,7 @@ func SyntheticRollout(cells, barriers, perCellPerBarrier int, cfg Config) Counts
 			}
 		}
 		rows := make([][]Row, cells)
-		obs := make([][]Obs, cells)
+		obs := make([][]mlops.Obs, cells)
 		for c, col := range cols {
 			rows[c], obs[c] = col.Drain()
 		}

@@ -19,6 +19,11 @@
 //  3. trains a fresh challenger from the cell's accumulated
 //     (features, outcome) rows once enough have been observed.
 //
+// The protocol's data and mechanics — contender slots, shadow scores,
+// holdout observations, the pair loss (slots.go) — are shared with the
+// fleet-scoped release train in mlops/fleetpipeline, which adds canary
+// rings and bake verdicts on top.
+//
 // Everything is deterministic: training seeds derive from the configured
 // seed and the model version, buffers are append-ordered, and no map is
 // ever iterated, so the lifecycle event stream is byte-identical for any
@@ -162,106 +167,114 @@ func (e Event) String() string {
 	}
 }
 
-// obs is one completed VM's shadow-scoring result for one family.
-type obs struct {
-	champVer, challVer, fbVer    int
-	champLoss, challLoss, fbLoss float64
+// lifecycle is one model family's contenders with their rolling
+// holdout. Version 0 is the bootstrap champion (offline model or
+// heuristic); each trained challenger gets the next version. Its JSON
+// form is the family's lifecycle state; the models travel separately.
+type lifecycle[M any] struct {
+	Slots[M]
+	NextVer int `json:"next_ver"`
+
+	Window []Obs `json:"window,omitempty"` // rolling, capped at HoldoutWindow
+
+	// SumChampLoss and Outcomes cover every outcome, whichever champion
+	// served.
+	SumChampLoss float64 `json:"sum_champ_loss,omitempty"`
+	Outcomes     int     `json:"outcomes,omitempty"`
+
+	meta map[int]trainMeta // training provenance per trained version
 }
 
-// lifecycle tracks one model family's contenders by version and rolling
-// losses. Version 0 is the bootstrap champion (offline model or
-// heuristic); each trained challenger gets the next version.
-type lifecycle struct {
-	family                    string
-	champVer, challVer, fbVer int // -1 = slot empty
-	nextVer                   int
-
-	window []obs // rolling, capped at HoldoutWindow
-
-	sumChampLoss float64 // over every outcome, whichever champion served
-	outcomes     int
+func newLifecycle[M any](bootstrap M) lifecycle[M] {
+	return lifecycle[M]{Slots: NewSlots(bootstrap), NextVer: 1, meta: make(map[int]trainMeta)}
 }
 
-func newLifecycle(family string) lifecycle {
-	return lifecycle{family: family, champVer: 0, challVer: -1, fbVer: -1, nextVer: 1}
+// nextVersion hands out the version of a challenger trained now on rows
+// examples, recording its provenance.
+func (lc *lifecycle[M]) nextVersion(now float64, rows int) int {
+	ver := lc.NextVer
+	lc.NextVer++
+	lc.meta[ver] = trainMeta{Ver: ver, AtSec: now, Rows: rows}
+	return ver
 }
 
-// observe appends one outcome. The caller stamps the obs with the
-// versions that actually produced each prediction — for untouched-memory
-// those are the versions live at admission, which may differ from the
-// current ones when a retrain or promotion tick fell inside the VM's
-// lifetime.
-func (lc *lifecycle) observe(o obs, windowCap int) {
-	lc.window = appendCapped(lc.window, o, windowCap)
-	lc.sumChampLoss += o.champLoss
-	lc.outcomes++
+// observe appends one outcome, scored by the versions the caller
+// stamped on it.
+func (lc *lifecycle[M]) observe(o Obs, windowCap int) {
+	lc.Window = AppendCapped(lc.Window, o, windowCap)
+	lc.SumChampLoss += o.ChampLoss
+	lc.Outcomes++
 }
 
-// pairLoss computes mean losses over window entries where the current
-// champion and the given contender slot were both shadow-scored live.
-func (lc *lifecycle) pairLoss(contender string) (champ, other float64, n int) {
-	for _, o := range lc.window {
-		if o.champVer != lc.champVer {
-			continue
-		}
-		switch contender {
-		case "chall":
-			if lc.challVer < 0 || o.challVer != lc.challVer {
-				continue
-			}
-			other += o.challLoss
-		case "fb":
-			if lc.fbVer < 0 || o.fbVer != lc.fbVer {
-				continue
-			}
-			other += o.fbLoss
-		}
-		champ += o.champLoss
-		n++
-	}
-	if n > 0 {
-		champ /= float64(n)
-		other /= float64(n)
-	}
-	return champ, other, n
+// provenance returns a version's training time and row count, zero for
+// the bootstrap.
+func (lc *lifecycle[M]) provenance(ver int) (float64, int) {
+	tm := lc.meta[ver]
+	return tm.AtSec, tm.Rows
+}
+
+// clone returns a copy with a window of its own: the window shifts in
+// place as it fills. Models and provenance are shared; they are not
+// serialized.
+func (lc *lifecycle[M]) clone() lifecycle[M] {
+	s := *lc
+	s.Window = append([]Obs(nil), lc.Window...)
+	return s
 }
 
 // champWindowLoss is the mean champion loss over the rolling window,
 // whatever versions served — the "current serving quality" metric.
-func (lc *lifecycle) champWindowLoss() float64 {
-	if len(lc.window) == 0 {
+func (lc *lifecycle[M]) champWindowLoss() float64 {
+	if len(lc.Window) == 0 {
 		return 0
 	}
 	var sum float64
-	for _, o := range lc.window {
-		sum += o.champLoss
+	for _, o := range lc.Window {
+		sum += o.ChampLoss
 	}
-	return sum / float64(len(lc.window))
+	return sum / float64(len(lc.Window))
 }
 
-func (lc *lifecycle) champMeanLoss() float64 {
-	if lc.outcomes == 0 {
+func (lc *lifecycle[M]) champMeanLoss() float64 {
+	if lc.Outcomes == 0 {
 		return 0
 	}
-	return lc.sumChampLoss / float64(lc.outcomes)
+	return lc.SumChampLoss / float64(lc.Outcomes)
 }
 
-// challObs counts window entries shadow-scored by the current
-// (champion, challenger) pair: a fresh challenger must earn MinHoldout
-// of these before it is judged or replaced.
-func (lc *lifecycle) challObs() int {
-	_, _, n := lc.pairLoss("chall")
-	return n
+// readyForChallenger reports whether a fresh challenger may be trained:
+// the current one, if any, has been shadow-scored beside the champion
+// on at least minHoldout outcomes.
+func (lc *lifecycle[M]) readyForChallenger(minHoldout int) bool {
+	if lc.ChallVer < 0 {
+		return true
+	}
+	_, _, n := lc.PairLoss(Challenger, lc.Window)
+	return n >= minHoldout
 }
 
-// umPending holds a placed VM's shadow predictions until departure,
-// together with the model versions that produced them — losses must be
-// attributed to the versions that predicted, not whichever models happen
-// to be live when the VM departs.
-type umPending struct {
-	feats                     []float64
-	champ, chall, fb          float64
-	champVer, challVer, fbVer int
+// verdict applies the cell-scope promotion policy: demote a champion its
+// fallback beats by the margin, otherwise promote a challenger that
+// beats the champion. It returns the event kind ("" for no change) and
+// the losses that decided it.
+func (lc *lifecycle[M]) verdict(cfg Config) (kind string, champ, other float64, n int) {
+	if champ, other, n = lc.PairLoss(Fallback, lc.Window); n >= cfg.MinHoldout && other < champ*(1-cfg.PromoteMargin) {
+		lc.Demote()
+		return EventDemote, champ, other, n
+	}
+	if champ, other, n = lc.PairLoss(Challenger, lc.Window); n >= cfg.MinHoldout && other < champ*(1-cfg.PromoteMargin) {
+		lc.Promote()
+		return EventPromote, champ, other, n
+	}
+	return "", 0, 0, 0
+}
+
+// insModel is an insensitivity contender with its serving threshold. A
+// nil model (a manager built without an insensitivity bootstrap) keeps
+// its slot but is never charged a loss.
+type insModel struct {
+	predict.Insensitivity
+	thr float64
 }
 
 // trainMeta records how a version was produced, for snapshots.
@@ -284,21 +297,18 @@ type Manager struct {
 
 	ratio, pdm float64
 
-	// Untouched-memory family.
-	umChamp, umChall, umFb predict.Untouched
-	umLC                   lifecycle
-	umPending              map[cluster.VMID]umPending
-	umX                    [][]float64
-	umY                    []float64
-	umMeta                 map[int]trainMeta
+	// Untouched-memory family: scored at admission, so each pending score
+	// carries the versions live when the VM was placed.
+	um      lifecycle[predict.Untouched]
+	pending map[cluster.VMID]Pending
+	umX     [][]float64
+	umY     []float64
 
-	// Latency-insensitivity family.
-	insChamp, insChall, insFb          predict.Insensitivity
-	insChampThr, insChallThr, insFbThr float64
-	insLC                              lifecycle
-	insX                               [][]float64
-	insY                               []float64
-	insMeta                            map[int]trainMeta
+	// Latency-insensitivity family: scored at departure, with the
+	// versions live then.
+	ins  lifecycle[insModel]
+	insX [][]float64
+	insY []float64
 
 	events []Event
 	cell   int
@@ -308,9 +318,9 @@ type Manager struct {
 // the inference server on the request path (hot-swapped on promotion),
 // insens/umChamp are the bootstrap champions already installed in it,
 // insensThreshold their serving threshold, and ratio/pdm the QoS
-// parameters that label insensitivity outcomes. onThreshold (may be nil)
-// is invoked with the new threshold whenever the insensitivity champion
-// changes.
+// parameters that label insensitivity outcomes. umChamp must not be nil;
+// insens may be. onThreshold (may be nil) is invoked with the new
+// threshold whenever the insensitivity champion changes.
 func NewManager(cfg Config, cell int, srv *predict.Server, insens predict.Insensitivity,
 	insensThreshold float64, umChamp predict.Untouched, ratio, pdm float64,
 	onThreshold func(float64)) *Manager {
@@ -321,14 +331,9 @@ func NewManager(cfg Config, cell int, srv *predict.Server, insens predict.Insens
 		onThreshold: onThreshold,
 		ratio:       ratio,
 		pdm:         pdm,
-		umChamp:     umChamp,
-		umLC:        newLifecycle(FamilyUM),
-		umPending:   make(map[cluster.VMID]umPending),
-		umMeta:      make(map[int]trainMeta),
-		insChamp:    insens,
-		insChampThr: insensThreshold,
-		insLC:       newLifecycle(FamilyInsens),
-		insMeta:     make(map[int]trainMeta),
+		um:          newLifecycle(umChamp),
+		pending:     make(map[cluster.VMID]Pending),
+		ins:         newLifecycle(insModel{insens, insensThreshold}),
 	}
 }
 
@@ -341,21 +346,7 @@ func (m *Manager) ObserveDecision(vm cluster.VMRequest, counters *pmu.Vector, um
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	feats := append([]float64(nil), umFeatures...)
-	p := umPending{feats: feats, champVer: -1, challVer: -1, fbVer: -1}
-	if m.umChamp != nil {
-		p.champ = m.umChamp.PredictUntouchedFrac(feats)
-		p.champVer = m.umLC.champVer
-	}
-	if m.umChall != nil {
-		p.chall = m.umChall.PredictUntouchedFrac(feats)
-		p.challVer = m.umLC.challVer
-	}
-	if m.umFb != nil {
-		p.fb = m.umFb.PredictUntouchedFrac(feats)
-		p.fbVer = m.umLC.fbVer
-	}
-	m.umPending[vm.ID] = p
+	m.pending[vm.ID] = ScoreAdmission(&m.um.Slots, vm.ID, umFeatures)
 }
 
 // ObserveOutcome records a departed VM's ground truth: the untouched
@@ -366,20 +357,12 @@ func (m *Manager) ObserveOutcome(vm cluster.VMRequest, counters pmu.Vector, have
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	if p, ok := m.umPending[vm.ID]; ok {
-		delete(m.umPending, vm.ID)
+	if p, ok := m.pending[vm.ID]; ok {
+		delete(m.pending, vm.ID)
 		label := vm.GroundTruth.UntouchedFrac
-		o := obs{champVer: p.champVer, challVer: p.challVer, fbVer: p.fbVer,
-			champLoss: UMLoss(p.champ, label, m.cfg.OverPenalty)}
-		if p.challVer >= 0 {
-			o.challLoss = UMLoss(p.chall, label, m.cfg.OverPenalty)
-		}
-		if p.fbVer >= 0 {
-			o.fbLoss = UMLoss(p.fb, label, m.cfg.OverPenalty)
-		}
-		m.umLC.observe(o, m.cfg.HoldoutWindow)
-		m.umX = appendCapped(m.umX, p.feats, m.cfg.MaxTrainRows)
-		m.umY = appendCapped(m.umY, label, m.cfg.MaxTrainRows)
+		m.um.observe(p.Close(label, m.cfg.OverPenalty), m.cfg.HoldoutWindow)
+		m.umX = AppendCapped(m.umX, p.Feats, m.cfg.MaxTrainRows)
+		m.umY = AppendCapped(m.umY, label, m.cfg.MaxTrainRows)
 	}
 
 	if haveCounters && vm.GroundTruth.Workload.Name != "" {
@@ -390,22 +373,17 @@ func (m *Manager) ObserveOutcome(vm cluster.VMRequest, counters pmu.Vector, have
 		// The insensitivity loss reuses the asymmetric shape: scoring a
 		// sensitive workload high risks an all-pool QoS violation
 		// (weighted OverPenalty), scoring an insensitive one low only
-		// forgoes pooling. Unlike the UM family, scoring happens here at
-		// departure, so the versions live right now are the ones that
-		// predicted.
-		o := obs{champVer: m.insLC.champVer, challVer: m.insLC.challVer, fbVer: m.insLC.fbVer}
-		if m.insChamp != nil {
-			o.champLoss = UMLoss(m.insChamp.Score(counters), label, m.cfg.OverPenalty)
-		}
-		if m.insChall != nil {
-			o.challLoss = UMLoss(m.insChall.Score(counters), label, m.cfg.OverPenalty)
-		}
-		if m.insFb != nil {
-			o.fbLoss = UMLoss(m.insFb.Score(counters), label, m.cfg.OverPenalty)
-		}
-		m.insLC.observe(o, m.cfg.HoldoutWindow)
-		m.insX = appendCapped(m.insX, counters.Features(), m.cfg.MaxTrainRows)
-		m.insY = appendCapped(m.insY, label, m.cfg.MaxTrainRows)
+		// forgoes pooling. A missing model scores the label itself, which
+		// costs nothing.
+		p := m.ins.score(func(c insModel) float64 {
+			if c.Insensitivity == nil {
+				return label
+			}
+			return c.Score(counters)
+		})
+		m.ins.observe(p.Close(label, m.cfg.OverPenalty), m.cfg.HoldoutWindow)
+		m.insX = AppendCapped(m.insX, counters.Features(), m.cfg.MaxTrainRows)
+		m.insY = AppendCapped(m.insY, label, m.cfg.MaxTrainRows)
 	}
 }
 
@@ -414,90 +392,39 @@ func (m *Manager) ObserveOutcome(vm cluster.VMRequest, counters pmu.Vector, have
 func (m *Manager) ForgetVM(id cluster.VMID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.umPending, id)
+	delete(m.pending, id)
 }
 
-// Tick runs one retrain event: demotion check, promotion check, then
-// challenger training. It returns the lifecycle events it produced, in
-// order, for the caller's event log.
+// Tick runs one retrain event: per family, the demotion and promotion
+// verdict, then challenger training. It returns the lifecycle events it
+// produced, in order, for the caller's event log.
 func (m *Manager) Tick(nowSec float64) []Event {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []Event
-	out = append(out, m.tickUM(nowSec)...)
-	out = append(out, m.tickInsens(nowSec)...)
-	m.events = append(m.events, out...)
-	return out
-}
 
-func (m *Manager) tickUM(now float64) []Event {
-	var out []Event
-
-	// Demote a regressed rollout back to its predecessor.
-	if m.umFb != nil {
-		if champ, fb, n := m.umLC.pairLoss("fb"); n >= m.cfg.MinHoldout && fb < champ*(1-m.cfg.PromoteMargin) {
-			m.umChamp, m.umFb = m.umFb, nil
-			m.umLC.champVer, m.umLC.fbVer = m.umLC.fbVer, -1
-			m.swapLocked()
-			out = append(out, m.event(now, FamilyUM, EventDemote, m.umLC.champVer, 0, champ, fb, n))
-		}
+	if kind, champ, other, n := m.um.verdict(m.cfg); kind != "" {
+		m.swapLocked()
+		out = append(out, m.event(nowSec, FamilyUM, kind, m.um.ChampVer, 0, champ, other, n))
 	}
-
-	// Promote a proven challenger.
-	if len(out) == 0 && m.umChall != nil {
-		if champ, chall, n := m.umLC.pairLoss("chall"); n >= m.cfg.MinHoldout && chall < champ*(1-m.cfg.PromoteMargin) {
-			m.umFb, m.umChamp, m.umChall = m.umChamp, m.umChall, nil
-			m.umLC.fbVer, m.umLC.champVer, m.umLC.challVer = m.umLC.champVer, m.umLC.challVer, -1
-			m.swapLocked()
-			out = append(out, m.event(now, FamilyUM, EventPromote, m.umLC.champVer, 0, champ, chall, n))
-		}
-	}
-
 	// Train a fresh challenger once the current one has had its shot.
-	if len(m.umX) >= m.cfg.MinTrainRows && (m.umChall == nil || m.umLC.challObs() >= m.cfg.MinHoldout) {
-		ver := m.umLC.nextVer
-		m.umLC.nextVer++
+	if len(m.umX) >= m.cfg.MinTrainRows && m.um.readyForChallenger(m.cfg.MinHoldout) {
+		ver := m.um.nextVersion(nowSec, len(m.umX))
 		quantile := 1 / (1 + m.cfg.OverPenalty)
 		seed := m.cfg.Seed + int64(ver)*7919 + 1
-		m.umChall = predict.TrainGBMUntouched(m.umX, m.umY, quantile, seed)
-		m.umLC.challVer = ver
-		m.umMeta[ver] = trainMeta{Ver: ver, AtSec: now, Rows: len(m.umX)}
-		out = append(out, m.event(now, FamilyUM, EventRetrain, ver, len(m.umX), 0, 0, 0))
-	}
-	return out
-}
-
-func (m *Manager) tickInsens(now float64) []Event {
-	var out []Event
-
-	if m.insFb != nil {
-		if champ, fb, n := m.insLC.pairLoss("fb"); n >= m.cfg.MinHoldout && fb < champ*(1-m.cfg.PromoteMargin) {
-			m.insChamp, m.insFb = m.insFb, nil
-			m.insChampThr, m.insFbThr = m.insFbThr, 0
-			m.insLC.champVer, m.insLC.fbVer = m.insLC.fbVer, -1
-			m.swapLocked()
-			m.pushThresholdLocked()
-			out = append(out, m.event(now, FamilyInsens, EventDemote, m.insLC.champVer, 0, champ, fb, n))
-		}
+		m.um.Chall, m.um.ChallVer = predict.TrainGBMUntouched(m.umX, m.umY, quantile, seed), ver
+		out = append(out, m.event(nowSec, FamilyUM, EventRetrain, ver, len(m.umX), 0, 0, 0))
 	}
 
-	if len(out) == 0 && m.insChall != nil {
-		if champ, chall, n := m.insLC.pairLoss("chall"); n >= m.cfg.MinHoldout && chall < champ*(1-m.cfg.PromoteMargin) {
-			m.insFb, m.insChamp, m.insChall = m.insChamp, m.insChall, nil
-			m.insFbThr, m.insChampThr, m.insChallThr = m.insChampThr, m.insChallThr, 0
-			m.insLC.fbVer, m.insLC.champVer, m.insLC.challVer = m.insLC.champVer, m.insLC.challVer, -1
-			m.swapLocked()
-			m.pushThresholdLocked()
-			out = append(out, m.event(now, FamilyInsens, EventPromote, m.insLC.champVer, 0, champ, chall, n))
-		}
+	if kind, champ, other, n := m.ins.verdict(m.cfg); kind != "" {
+		m.swapLocked()
+		m.pushThresholdLocked()
+		out = append(out, m.event(nowSec, FamilyInsens, kind, m.ins.ChampVer, 0, champ, other, n))
 	}
-
 	// The insensitivity label is heavily imbalanced on small windows;
 	// require both classes before fitting a classifier.
-	if len(m.insX) >= m.cfg.MinTrainRows && bothClasses(m.insY) &&
-		(m.insChall == nil || m.insLC.challObs() >= m.cfg.MinHoldout) {
-		ver := m.insLC.nextVer
-		m.insLC.nextVer++
+	if len(m.insX) >= m.cfg.MinTrainRows && bothClasses(m.insY) && m.ins.readyForChallenger(m.cfg.MinHoldout) {
+		ver := m.ins.nextVersion(nowSec, len(m.insX))
 		seed := m.cfg.Seed + int64(ver)*7919 + 2
 		rf := predict.TrainForest(m.insX, m.insY, seed)
 		scores := make([]float64, len(m.insX))
@@ -516,12 +443,11 @@ func (m *Manager) tickInsens(now float64) []Event {
 				thr = s + 1e-9
 			}
 		}
-		m.insChall = rf
-		m.insChallThr = thr
-		m.insLC.challVer = ver
-		m.insMeta[ver] = trainMeta{Ver: ver, AtSec: now, Rows: len(m.insX)}
-		out = append(out, m.event(now, FamilyInsens, EventRetrain, ver, len(m.insX), 0, 0, 0))
+		m.ins.Chall, m.ins.ChallVer = insModel{rf, thr}, ver
+		out = append(out, m.event(nowSec, FamilyInsens, EventRetrain, ver, len(m.insX), 0, 0, 0))
 	}
+
+	m.events = append(m.events, out...)
 	return out
 }
 
@@ -532,13 +458,13 @@ func (m *Manager) event(at float64, family, kind string, ver, rows int, champ, c
 
 func (m *Manager) swapLocked() {
 	if m.srv != nil {
-		m.srv.Swap(m.insChamp, m.umChamp)
+		m.srv.Swap(m.ins.Champ.Insensitivity, m.um.Champ)
 	}
 }
 
 func (m *Manager) pushThresholdLocked() {
 	if m.onThreshold != nil {
-		m.onThreshold(m.insChampThr)
+		m.onThreshold(m.ins.Champ.thr)
 	}
 }
 
@@ -565,13 +491,13 @@ func (m *Manager) Quality() Quality {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	q := Quality{
-		UMChampVer:      m.umLC.champVer,
-		InsensChampVer:  m.insLC.champVer,
-		UMLossMean:      m.umLC.champMeanLoss(),
-		UMLossFinal:     m.umLC.champWindowLoss(),
-		InsensLossMean:  m.insLC.champMeanLoss(),
-		InsensLossFinal: m.insLC.champWindowLoss(),
-		Outcomes:        m.umLC.outcomes,
+		UMChampVer:      m.um.ChampVer,
+		InsensChampVer:  m.ins.ChampVer,
+		UMLossMean:      m.um.champMeanLoss(),
+		UMLossFinal:     m.um.champWindowLoss(),
+		InsensLossMean:  m.ins.champMeanLoss(),
+		InsensLossFinal: m.ins.champWindowLoss(),
+		Outcomes:        m.um.Outcomes,
 	}
 	for _, e := range m.events {
 		switch e.Kind {
@@ -606,14 +532,4 @@ func bothClasses(y []float64) bool {
 		}
 	}
 	return false
-}
-
-// appendCapped appends to a FIFO buffer bounded at limit entries,
-// evicting the oldest when full.
-func appendCapped[T any](buf []T, v T, limit int) []T {
-	if len(buf) >= limit {
-		copy(buf, buf[1:])
-		buf = buf[:len(buf)-1]
-	}
-	return append(buf, v)
 }

@@ -161,7 +161,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := feats(0.6)
-	if got, want := rebuilt.PredictUntouchedFrac(x), m.umChall.PredictUntouchedFrac(x); got != want {
+	if got, want := rebuilt.PredictUntouchedFrac(x), m.um.Chall.PredictUntouchedFrac(x); got != want {
 		t.Fatalf("rebuilt model predicts %v, original %v", got, want)
 	}
 }

@@ -38,61 +38,35 @@ type ModelSnapshot struct {
 func (m *Manager) Snapshot() ([]ModelSnapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []ModelSnapshot
-	add := func(family, role string, ver int, name string, thr float64, raw json.RawMessage) {
-		s := ModelSnapshot{Cell: m.cell, Family: family, Role: role, Ver: ver, Name: name, Threshold: thr, Model: raw}
-		meta, ok := m.umMeta[ver]
-		if family == FamilyInsens {
-			meta, ok = m.insMeta[ver]
-		}
-		if ok {
-			s.TrainedAtSec = meta.AtSec
-			s.Rows = meta.Rows
-		}
-		out = append(out, s)
+	out, err := DumpUM(&m.um.Slots, m.cell, m.um.provenance)
+	if err != nil {
+		return nil, err
 	}
+	ins, err := m.ins.dump(func(snap *ModelSnapshot, c insModel) (bool, error) {
+		if c.Insensitivity == nil {
+			return false, nil
+		}
+		raw, err := marshalInsens(c.Insensitivity)
+		snap.Cell, snap.Family, snap.Name, snap.Threshold, snap.Model = m.cell, FamilyInsens, c.Name(), c.thr, raw
+		snap.TrainedAtSec, snap.Rows = m.ins.provenance(snap.Ver)
+		return true, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return append(out, ins...), nil
+}
 
-	umSlots := []struct {
-		role  string
-		model predict.Untouched
-		ver   int
-	}{
-		{"champion", m.umChamp, m.umLC.champVer},
-		{"challenger", m.umChall, m.umLC.challVer},
-		{"fallback", m.umFb, m.umLC.fbVer},
-	}
-	for _, s := range umSlots {
-		if s.model == nil {
-			continue
-		}
-		raw, err := marshalUM(s.model)
-		if err != nil {
-			return nil, err
-		}
-		add(FamilyUM, s.role, s.ver, s.model.Name(), 0, raw)
-	}
-
-	insSlots := []struct {
-		role  string
-		model predict.Insensitivity
-		ver   int
-		thr   float64
-	}{
-		{"champion", m.insChamp, m.insLC.champVer, m.insChampThr},
-		{"challenger", m.insChall, m.insLC.challVer, m.insChallThr},
-		{"fallback", m.insFb, m.insLC.fbVer, m.insFbThr},
-	}
-	for _, s := range insSlots {
-		if s.model == nil {
-			continue
-		}
-		raw, err := marshalInsens(s.model)
-		if err != nil {
-			return nil, err
-		}
-		add(FamilyInsens, s.role, s.ver, s.model.Name(), s.thr, raw)
-	}
-	return out, nil
+// DumpUM renders an untouched-memory family's live models, champion
+// first, for cell (-1 for a fleet-wide release); provenance returns a
+// version's training time and row count, zero for a bootstrap model.
+func DumpUM(s *Slots[predict.Untouched], cell int, provenance func(ver int) (atSec float64, rows int)) ([]ModelSnapshot, error) {
+	return s.dump(func(snap *ModelSnapshot, u predict.Untouched) (bool, error) {
+		raw, err := marshalUM(u)
+		snap.Cell, snap.Family, snap.Name, snap.Model = cell, FamilyUM, u.Name(), raw
+		snap.TrainedAtSec, snap.Rows = provenance(snap.Ver)
+		return true, err
+	})
 }
 
 // SnapshotJSON renders the dump as one JSON document.
@@ -103,10 +77,6 @@ func (m *Manager) SnapshotJSON() (json.RawMessage, error) {
 	}
 	return json.MarshalIndent(snaps, "", "  ")
 }
-
-// MarshalUM exports an untouched-memory model in the snapshot wire form;
-// the fleet pipeline reuses it for its release-train dumps.
-func MarshalUM(u predict.Untouched) (json.RawMessage, error) { return marshalUM(u) }
 
 func marshalUM(u predict.Untouched) (json.RawMessage, error) {
 	if g, ok := u.(*predict.GBMUntouched); ok {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pond/internal/cluster"
@@ -18,39 +19,6 @@ import (
 // scores, training buffers, and the event history — so a paused fleet
 // run can be restored without replaying the simulated time that
 // produced the models.
-
-// ObsState is one completed VM's shadow-scoring result.
-type ObsState struct {
-	ChampVer  int     `json:"champ_ver"`
-	ChallVer  int     `json:"chall_ver"`
-	FbVer     int     `json:"fb_ver"`
-	ChampLoss float64 `json:"champ_loss"`
-	ChallLoss float64 `json:"chall_loss"`
-	FbLoss    float64 `json:"fb_loss"`
-}
-
-// LifecycleState is one family's version bookkeeping and rolling window.
-type LifecycleState struct {
-	ChampVer     int        `json:"champ_ver"`
-	ChallVer     int        `json:"chall_ver"`
-	FbVer        int        `json:"fb_ver"`
-	NextVer      int        `json:"next_ver"`
-	Window       []ObsState `json:"window,omitempty"`
-	SumChampLoss float64    `json:"sum_champ_loss,omitempty"`
-	Outcomes     int        `json:"outcomes,omitempty"`
-}
-
-// PendingState is one in-flight VM's untouched-memory shadow scores.
-type PendingState struct {
-	VM       cluster.VMID `json:"vm"`
-	Feats    []float64    `json:"feats"`
-	Champ    float64      `json:"champ"`
-	Chall    float64      `json:"chall"`
-	Fb       float64      `json:"fb"`
-	ChampVer int          `json:"champ_ver"`
-	ChallVer int          `json:"chall_ver"`
-	FbVer    int          `json:"fb_ver"`
-}
 
 // UMModelState is one untouched-memory slot's wire form. Margin is
 // carried beside the ensemble because the GBM export does not include
@@ -69,52 +37,24 @@ type InsModelState struct {
 
 // State is the full serializable state of a Manager.
 type State struct {
-	UMChamp *UMModelState  `json:"um_champ,omitempty"`
-	UMChall *UMModelState  `json:"um_chall,omitempty"`
-	UMFb    *UMModelState  `json:"um_fb,omitempty"`
-	UMLC    LifecycleState `json:"um_lc"`
-	Pending []PendingState `json:"pending,omitempty"`
-	UMX     [][]float64    `json:"um_x,omitempty"`
-	UMY     []float64      `json:"um_y,omitempty"`
-	UMMeta  []trainMeta    `json:"um_meta,omitempty"`
+	UMChamp *UMModelState                `json:"um_champ,omitempty"`
+	UMChall *UMModelState                `json:"um_chall,omitempty"`
+	UMFb    *UMModelState                `json:"um_fb,omitempty"`
+	UMLC    lifecycle[predict.Untouched] `json:"um_lc"`
+	Pending []Pending                    `json:"pending,omitempty"`
+	UMX     [][]float64                  `json:"um_x,omitempty"`
+	UMY     []float64                    `json:"um_y,omitempty"`
+	UMMeta  []trainMeta                  `json:"um_meta,omitempty"`
 
-	InsChamp *InsModelState `json:"ins_champ,omitempty"`
-	InsChall *InsModelState `json:"ins_chall,omitempty"`
-	InsFb    *InsModelState `json:"ins_fb,omitempty"`
-	InsLC    LifecycleState `json:"ins_lc"`
-	InsX     [][]float64    `json:"ins_x,omitempty"`
-	InsY     []float64      `json:"ins_y,omitempty"`
-	InsMeta  []trainMeta    `json:"ins_meta,omitempty"`
+	InsChamp *InsModelState      `json:"ins_champ,omitempty"`
+	InsChall *InsModelState      `json:"ins_chall,omitempty"`
+	InsFb    *InsModelState      `json:"ins_fb,omitempty"`
+	InsLC    lifecycle[insModel] `json:"ins_lc"`
+	InsX     [][]float64         `json:"ins_x,omitempty"`
+	InsY     []float64           `json:"ins_y,omitempty"`
+	InsMeta  []trainMeta         `json:"ins_meta,omitempty"`
 
 	Events []Event `json:"events,omitempty"`
-}
-
-func lifecycleState(lc lifecycle) LifecycleState {
-	s := LifecycleState{
-		ChampVer: lc.champVer, ChallVer: lc.challVer, FbVer: lc.fbVer, NextVer: lc.nextVer,
-		SumChampLoss: lc.sumChampLoss, Outcomes: lc.outcomes,
-	}
-	for _, o := range lc.window {
-		s.Window = append(s.Window, ObsState{
-			ChampVer: o.champVer, ChallVer: o.challVer, FbVer: o.fbVer,
-			ChampLoss: o.champLoss, ChallLoss: o.challLoss, FbLoss: o.fbLoss,
-		})
-	}
-	return s
-}
-
-func setLifecycle(lc *lifecycle, s LifecycleState, family string) {
-	lc.family = family
-	lc.champVer, lc.challVer, lc.fbVer, lc.nextVer = s.ChampVer, s.ChallVer, s.FbVer, s.NextVer
-	lc.window = nil
-	for _, o := range s.Window {
-		lc.window = append(lc.window, obs{
-			champVer: o.ChampVer, challVer: o.ChallVer, fbVer: o.FbVer,
-			champLoss: o.ChampLoss, challLoss: o.ChallLoss, fbLoss: o.FbLoss,
-		})
-	}
-	lc.sumChampLoss = s.SumChampLoss
-	lc.outcomes = s.Outcomes
 }
 
 func metaList(m map[int]trainMeta) []trainMeta {
@@ -123,6 +63,48 @@ func metaList(m map[int]trainMeta) []trainMeta {
 		out = append(out, tm)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Ver < out[j].Ver })
+	return out
+}
+
+func metaMap(list []trainMeta) map[int]trainMeta {
+	m := make(map[int]trainMeta, len(list))
+	for _, tm := range list {
+		m[tm.Ver] = tm
+	}
+	return m
+}
+
+// PendingList returns the pending scores ordered by VM id, for a
+// deterministic state. Feature vectors are shared: nothing writes to
+// them once recorded.
+func PendingList(m map[cluster.VMID]Pending) []Pending {
+	out := make([]Pending, 0, len(m))
+	for _, p := range m {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].VM < out[j].VM })
+	return out
+}
+
+// PendingMap indexes restored pending scores by VM id, each with its
+// own copy of the features.
+func PendingMap(list []Pending) map[cluster.VMID]Pending {
+	m := make(map[cluster.VMID]Pending, len(list))
+	for _, p := range list {
+		p.Feats = slices.Clone(p.Feats)
+		m[p.VM] = p
+	}
+	return m
+}
+
+// CloneRows deep-copies restored training rows. Decoded rows carry the
+// JSON decoder's spare capacity (a third more for a 12-feature row);
+// the copies are sized like the rows a live run records.
+func CloneRows(rows [][]float64) [][]float64 {
+	out := make([][]float64, len(rows))
+	for i, r := range rows {
+		out[i] = slices.Clone(r)
+	}
 	return out
 }
 
@@ -149,24 +131,21 @@ func umModelState(u predict.Untouched) (*UMModelState, error) {
 	return s, nil
 }
 
-func insModelState(i predict.Insensitivity, thr float64) (*InsModelState, error) {
-	if i == nil {
+func insModelState(c insModel) (*InsModelState, error) {
+	if c.Insensitivity == nil {
 		return nil, nil
 	}
-	raw, err := marshalInsens(i)
+	raw, err := marshalInsens(c.Insensitivity)
 	if err != nil {
 		return nil, err
 	}
-	return &InsModelState{Model: raw, Threshold: thr}, nil
+	return &InsModelState{Model: raw, Threshold: c.thr}, nil
 }
 
-// UMState exports an untouched-memory model slot in the state wire
-// form; the fleet pipeline reuses it for its release-train state.
-func UMState(u predict.Untouched) (*UMModelState, error) { return umModelState(u) }
-
-// LoadUMState rebuilds an untouched-memory model from its wire form,
-// heuristics included (LoadUM only handles trained ensembles).
-func LoadUMState(s *UMModelState) (predict.Untouched, error) {
+// loadUMState rebuilds an untouched-memory model from its wire form,
+// heuristics included (LoadUM only handles trained ensembles). A trained
+// model must read exactly the untouched-memory feature vector.
+func loadUMState(s *UMModelState) (predict.Untouched, error) {
 	if s == nil {
 		return nil, nil
 	}
@@ -184,6 +163,10 @@ func LoadUMState(s *UMModelState) (predict.Untouched, error) {
 		if err != nil {
 			return nil, err
 		}
+		if g.Features() != predict.UMFeatureCount {
+			return nil, fmt.Errorf("mlops: um model reads %d features, the untouched-memory input has %d",
+				g.Features(), predict.UMFeatureCount)
+		}
 		m := predict.WrapGBMUntouched(g)
 		m.Margin = s.Margin
 		return m, nil
@@ -198,89 +181,70 @@ func LoadUMState(s *UMModelState) (predict.Untouched, error) {
 	return nil, fmt.Errorf("mlops: cannot rebuild um model kind %q name %q", probe.Kind, probe.Name)
 }
 
-// LoadInsensState rebuilds an insensitivity model from its wire form.
-func LoadInsensState(s *InsModelState) (predict.Insensitivity, error) {
+// loadInsState rebuilds an insensitivity contender from its wire form.
+// A forest must read exactly the PMU counter vector.
+func loadInsState(s *InsModelState) (insModel, error) {
 	if s == nil {
-		return nil, nil
+		return insModel{}, nil
 	}
 	var probe struct {
 		Kind string `json:"kind"`
 		Name string `json:"name"`
 	}
 	if err := json.Unmarshal(s.Model, &probe); err != nil {
-		return nil, fmt.Errorf("mlops: insens model state: %w", err)
+		return insModel{}, fmt.Errorf("mlops: insens model state: %w", err)
 	}
 	switch probe.Kind {
 	case "forest":
 		f, err := ml.ImportForest(bytes.NewReader(s.Model))
 		if err != nil {
-			return nil, err
+			return insModel{}, err
 		}
-		return predict.WrapForestModel(f), nil
+		if f.Features() != pmu.NumCounters {
+			return insModel{}, fmt.Errorf("mlops: insens model reads %d features, the counter vector has %d",
+				f.Features(), pmu.NumCounters)
+		}
+		return insModel{predict.WrapForestModel(f), s.Threshold}, nil
 	case "heuristic":
 		switch probe.Name {
 		case "Memory-Bound":
-			return predict.CounterThreshold{Counter: pmu.MemoryBound}, nil
+			return insModel{predict.CounterThreshold{Counter: pmu.MemoryBound}, s.Threshold}, nil
 		case "DRAM-Bound":
-			return predict.CounterThreshold{Counter: pmu.DRAMBound}, nil
+			return insModel{predict.CounterThreshold{Counter: pmu.DRAMBound}, s.Threshold}, nil
 		}
 	}
-	return nil, fmt.Errorf("mlops: cannot rebuild insens model kind %q name %q", probe.Kind, probe.Name)
+	return insModel{}, fmt.Errorf("mlops: cannot rebuild insens model kind %q name %q", probe.Kind, probe.Name)
 }
 
 // State captures the manager's full state for serialization.
 func (m *Manager) State() (State, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var s State
+	s := State{
+		UMLC:    m.um.clone(),
+		Pending: PendingList(m.pending),
+		UMX:     slices.Clone(m.umX),
+		UMY:     slices.Clone(m.umY),
+		UMMeta:  metaList(m.um.meta),
+		InsLC:   m.ins.clone(),
+		InsX:    slices.Clone(m.insX),
+		InsY:    slices.Clone(m.insY),
+		InsMeta: metaList(m.ins.meta),
+		Events:  slices.Clone(m.events),
+	}
 	var err error
-	if s.UMChamp, err = umModelState(m.umChamp); err != nil {
+	if s.UMChamp, s.UMChall, s.UMFb, err = UMSlotStates(&m.um.Slots); err != nil {
 		return State{}, err
 	}
-	if s.UMChall, err = umModelState(m.umChall); err != nil {
+	if s.InsChamp, err = insModelState(m.ins.Champ); err != nil {
 		return State{}, err
 	}
-	if s.UMFb, err = umModelState(m.umFb); err != nil {
+	if s.InsChall, err = insModelState(m.ins.Chall); err != nil {
 		return State{}, err
 	}
-	s.UMLC = lifecycleState(m.umLC)
-
-	ids := make([]cluster.VMID, 0, len(m.umPending))
-	for id := range m.umPending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		p := m.umPending[id]
-		s.Pending = append(s.Pending, PendingState{
-			VM: id, Feats: append([]float64(nil), p.feats...),
-			Champ: p.champ, Chall: p.chall, Fb: p.fb,
-			ChampVer: p.champVer, ChallVer: p.challVer, FbVer: p.fbVer,
-		})
-	}
-	for _, x := range m.umX {
-		s.UMX = append(s.UMX, append([]float64(nil), x...))
-	}
-	s.UMY = append([]float64(nil), m.umY...)
-	s.UMMeta = metaList(m.umMeta)
-
-	if s.InsChamp, err = insModelState(m.insChamp, m.insChampThr); err != nil {
+	if s.InsFb, err = insModelState(m.ins.Fb); err != nil {
 		return State{}, err
 	}
-	if s.InsChall, err = insModelState(m.insChall, m.insChallThr); err != nil {
-		return State{}, err
-	}
-	if s.InsFb, err = insModelState(m.insFb, m.insFbThr); err != nil {
-		return State{}, err
-	}
-	s.InsLC = lifecycleState(m.insLC)
-	for _, x := range m.insX {
-		s.InsX = append(s.InsX, append([]float64(nil), x...))
-	}
-	s.InsY = append([]float64(nil), m.insY...)
-	s.InsMeta = metaList(m.insMeta)
-
-	s.Events = append([]Event(nil), m.events...)
 	return s, nil
 }
 
@@ -292,67 +256,26 @@ func (m *Manager) State() (State, error) {
 func (m *Manager) SetState(s State) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	um, ins := s.UMLC.clone(), s.InsLC.clone()
+	if err := SetUMSlots(&um.Slots, s.UMChamp, s.UMChall, s.UMFb); err != nil {
+		return err
+	}
 	var err error
-	if m.umChamp, err = LoadUMState(s.UMChamp); err != nil {
+	if ins.Champ, err = loadInsState(s.InsChamp); err != nil {
 		return err
 	}
-	if m.umChall, err = LoadUMState(s.UMChall); err != nil {
+	if ins.Chall, err = loadInsState(s.InsChall); err != nil {
 		return err
 	}
-	if m.umFb, err = LoadUMState(s.UMFb); err != nil {
+	if ins.Fb, err = loadInsState(s.InsFb); err != nil {
 		return err
 	}
-	setLifecycle(&m.umLC, s.UMLC, FamilyUM)
-
-	m.umPending = make(map[cluster.VMID]umPending, len(s.Pending))
-	for _, p := range s.Pending {
-		m.umPending[p.VM] = umPending{
-			feats: append([]float64(nil), p.Feats...),
-			champ: p.Champ, chall: p.Chall, fb: p.Fb,
-			champVer: p.ChampVer, challVer: p.ChallVer, fbVer: p.FbVer,
-		}
-	}
-	m.umX = nil
-	for _, x := range s.UMX {
-		m.umX = append(m.umX, append([]float64(nil), x...))
-	}
-	m.umY = append([]float64(nil), s.UMY...)
-	m.umMeta = make(map[int]trainMeta, len(s.UMMeta))
-	for _, tm := range s.UMMeta {
-		m.umMeta[tm.Ver] = tm
-	}
-
-	if m.insChamp, err = LoadInsensState(s.InsChamp); err != nil {
-		return err
-	}
-	if m.insChall, err = LoadInsensState(s.InsChall); err != nil {
-		return err
-	}
-	if m.insFb, err = LoadInsensState(s.InsFb); err != nil {
-		return err
-	}
-	m.insChampThr, m.insChallThr, m.insFbThr = 0, 0, 0
-	if s.InsChamp != nil {
-		m.insChampThr = s.InsChamp.Threshold
-	}
-	if s.InsChall != nil {
-		m.insChallThr = s.InsChall.Threshold
-	}
-	if s.InsFb != nil {
-		m.insFbThr = s.InsFb.Threshold
-	}
-	setLifecycle(&m.insLC, s.InsLC, FamilyInsens)
-	m.insX = nil
-	for _, x := range s.InsX {
-		m.insX = append(m.insX, append([]float64(nil), x...))
-	}
-	m.insY = append([]float64(nil), s.InsY...)
-	m.insMeta = make(map[int]trainMeta, len(s.InsMeta))
-	for _, tm := range s.InsMeta {
-		m.insMeta[tm.Ver] = tm
-	}
-
-	m.events = append([]Event(nil), s.Events...)
+	um.meta, ins.meta = metaMap(s.UMMeta), metaMap(s.InsMeta)
+	m.um, m.ins = um, ins
+	m.pending = PendingMap(s.Pending)
+	m.umX, m.umY = CloneRows(s.UMX), slices.Clone(s.UMY)
+	m.insX, m.insY = CloneRows(s.InsX), slices.Clone(s.InsY)
+	m.events = slices.Clone(s.Events)
 	m.pushThresholdLocked()
 	return nil
 }
@@ -363,5 +286,5 @@ func (m *Manager) SetState(s State) error {
 func (m *Manager) ServingModels() (predict.Insensitivity, float64, predict.Untouched) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.insChamp, m.insChampThr, m.umChamp
+	return m.ins.Champ.Insensitivity, m.ins.Champ.thr, m.um.Champ
 }

@@ -104,12 +104,7 @@ func (r *Run) setStateLocked(st string) {
 // run lock is held at a stretch: smaller slices mean injections land
 // sooner, at the cost of more lock round-trips.
 func (r *Run) drive(ctx context.Context, sliceSec float64) {
-	stop := context.AfterFunc(ctx, func() {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-	defer stop()
+	defer r.wakeOnCancel(ctx)()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
@@ -354,26 +349,44 @@ func snapshotReport(rep *pond.FleetReport) *SnapshotReport {
 // more arrive, the run ends, or ctx is cancelled; it returns nil only
 // when no further events will ever arrive (or the wait was cancelled).
 func (r *Run) EventsFrom(ctx context.Context, from int) []Event {
-	stop := context.AfterFunc(ctx, func() {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
+	return waitFor(ctx, r, func() []Event {
+		if from >= len(r.events) {
+			return nil
+		}
+		if len(r.events) > r.streamed {
+			r.streamed = len(r.events)
+		}
+		return append([]Event(nil), r.events[from:]...)
 	})
-	defer stop()
+}
+
+// waitFor blocks until take, called under the run lock, returns
+// entries, the run reaches a terminal state, or ctx is cancelled; it
+// returns nil in the last two cases.
+func waitFor[T any](ctx context.Context, r *Run, take func() []T) []T {
+	defer r.wakeOnCancel(ctx)()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if from < len(r.events) {
-			if len(r.events) > r.streamed {
-				r.streamed = len(r.events)
-			}
-			return append([]Event(nil), r.events[from:]...)
+		if out := take(); out != nil {
+			return out
 		}
 		if r.terminalLocked() || ctx.Err() != nil {
 			return nil
 		}
 		r.cond.Wait()
 	}
+}
+
+// wakeOnCancel wakes the run's condition waiters when ctx is cancelled,
+// so a cond-wait loop can observe ctx.Err(); call the returned function
+// once the loop is done.
+func (r *Run) wakeOnCancel(ctx context.Context) (stop func() bool) {
+	return context.AfterFunc(ctx, func() {
+		r.mu.Lock()
+		r.cond.Broadcast()
+		r.mu.Unlock()
+	})
 }
 
 // MetricsRow is one streamed sim-time series row with its buffer
@@ -387,27 +400,16 @@ type MetricsRow struct {
 // MetricsFrom returns the buffered sim-time series rows at positions
 // >= from, blocking like EventsFrom when the run is still producing.
 func (r *Run) MetricsFrom(ctx context.Context, from int) []MetricsRow {
-	stop := context.AfterFunc(ctx, func() {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-	defer stop()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		if from < len(r.metrics) {
-			out := make([]MetricsRow, 0, len(r.metrics)-from)
-			for i := from; i < len(r.metrics); i++ {
-				out = append(out, MetricsRow{Seq: i, MetricsRow: r.metrics[i]})
-			}
-			return out
-		}
-		if r.terminalLocked() || ctx.Err() != nil {
+	return waitFor(ctx, r, func() []MetricsRow {
+		if from >= len(r.metrics) {
 			return nil
 		}
-		r.cond.Wait()
-	}
+		out := make([]MetricsRow, 0, len(r.metrics)-from)
+		for i := from; i < len(r.metrics); i++ {
+			out = append(out, MetricsRow{Seq: i, MetricsRow: r.metrics[i]})
+		}
+		return out
+	})
 }
 
 // Metrics returns a copy of the full buffered sim-time series.
@@ -440,21 +442,5 @@ func (r *Run) gauges() gaugeView {
 		events:   len(r.events),
 		lag:      len(r.events) - r.streamed,
 		rows:     len(r.metrics),
-	}
-}
-
-// waitDone blocks until the run reaches a terminal state or ctx is
-// cancelled.
-func (r *Run) waitDone(ctx context.Context) {
-	stop := context.AfterFunc(ctx, func() {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-	defer stop()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for !r.terminalLocked() && ctx.Err() == nil {
-		r.cond.Wait()
 	}
 }

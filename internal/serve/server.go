@@ -354,26 +354,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 		}
 		from = n
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	for {
-		evs := r.EventsFrom(req.Context(), from)
-		if len(evs) == 0 {
-			return
-		}
-		for _, e := range evs {
-			if err := enc.Encode(e); err != nil {
-				return
-			}
-		}
-		from = evs[len(evs)-1].Seq + 1
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	followNDJSON(req.Context(), w, from, r.EventsFrom)
 }
 
 // handleRunMetrics serves the run's buffered sim-time series (empty
@@ -408,22 +389,36 @@ func (s *Server) handleRunMetrics(w http.ResponseWriter, req *http.Request) {
 		})
 		return
 	}
+	followNDJSON(req.Context(), w, from, r.MetricsFrom)
+}
+
+// sequenced is a streamed entry that knows its buffer position.
+type sequenced interface{ position() int }
+
+func (e Event) position() int      { return e.Seq }
+func (m MetricsRow) position() int { return m.Seq }
+
+// followNDJSON streams a run's buffered entries as NDJSON, one object
+// per line and a flush per batch, following the run live until next
+// reports that no more will arrive: next blocks for the entries at
+// positions >= from. It stops early if the client goes away.
+func followNDJSON[T sequenced](ctx context.Context, w http.ResponseWriter, from int, next func(context.Context, int) []T) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	for {
-		rows := r.MetricsFrom(req.Context(), from)
-		if len(rows) == 0 {
+		batch := next(ctx, from)
+		if len(batch) == 0 {
 			return
 		}
-		for _, e := range rows {
+		for _, e := range batch {
 			if err := enc.Encode(e); err != nil {
 				return
 			}
 		}
-		from = rows[len(rows)-1].Seq + 1
+		from = batch[len(batch)-1].position() + 1
 		if flusher != nil {
 			flusher.Flush()
 		}
