@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race lint cover bench bench-gate bench-baseline perfbench-test fleet plan serve docker docker-smoke soak soak-fleet soak-elastic fuzz golden
+.PHONY: all build vet test test-short test-race lint cover bench bench-gate bench-baseline perfbench-test perfpairs fleet plan serve docker docker-smoke soak soak-fleet soak-elastic fuzz golden
 
 all: build vet test-short
 
@@ -67,6 +67,17 @@ bench-baseline:
 perfbench-test:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
+# Paired perfbench runs of a reference commit against the working tree
+# (alternating order, 30 s each, --trace 0): per-metric medians,
+# quartiles and pairs won. Example:
+#   make perfpairs REF=HEAD WORKLOAD=churn PAIRS=10 SEED=101
+REF ?= HEAD
+WORKLOAD ?= churn
+PAIRS ?= 10
+SEED ?= 1
+perfpairs:
+	bash scripts/perfpairs.sh $(REF) $(WORKLOAD) $(PAIRS) $(SEED)
+
 # Online fleet simulation quick-look across all three topologies.
 fleet:
 	$(GO) run ./cmd/pondfleet -topology flat,sharded,sparse -inject emc-fail@t=500
@@ -111,9 +122,10 @@ soak-fleet:
 		-model-scope fleet -canary 0.25 -bake 2000 \
 		-inject drift@t=8000:cells=2-3:mag=0.8 -models models-soak-fleet.json
 
-# Fuzz the user-facing spec parsers and the model import restores decode
-# for a bounded time each (seeds run as plain tests on every `go test`;
-# this explores further, as CI does).
+# Fuzz the user-facing spec parsers, the model import restores decode
+# and the customer-history window against its definition, for a bounded
+# time each (seeds run as plain tests on every `go test`; this explores
+# further, as CI does).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInjections$$' -fuzztime $(FUZZTIME) ./internal/fleet
@@ -121,6 +133,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopologies$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSweep$$'      -fuzztime $(FUZZTIME) ./internal/experiments
 	$(GO) test -run '^$$' -fuzz '^FuzzImportModel$$'     -fuzztime $(FUZZTIME) ./internal/ml
+	$(GO) test -run '^$$' -fuzz '^FuzzCustomerHistory$$' -fuzztime $(FUZZTIME) ./internal/telemetry
 
 # Regenerate the committed golden event logs after an intentional
 # behaviour or log-format change.

@@ -59,7 +59,7 @@ func NewDCD(dev *Device) *DCD {
 func (d *DCD) Offer(h HostID, n int) ([]Event, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	slices, err := d.dev.AssignAny(n, h)
+	slices, err := d.dev.AssignAny(nil, n, h)
 	if err != nil {
 		return nil, err
 	}

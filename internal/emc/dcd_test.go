@@ -94,11 +94,11 @@ func TestDCDEquivalentToPoolManagerPath(t *testing.T) {
 	dcd := NewDCD(ib)
 
 	// Host 0 obtains 2 GB, host 1 obtains 1 GB, host 0 releases one.
-	s0, err := oob.AssignAny(2, 0)
+	s0, err := oob.AssignAny(nil, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := oob.AssignAny(1, 1); err != nil {
+	if _, err := oob.AssignAny(nil, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := oob.Release(s0[0], 0); err != nil {

@@ -160,34 +160,37 @@ func (d *Device) Assign(s SliceID, h HostID) error {
 	}
 }
 
-// AssignAny assigns n free slices to host h and returns them.
-// It assigns nothing if fewer than n slices are free.
-func (d *Device) AssignAny(n int, h HostID) ([]SliceID, error) {
+// AssignAny assigns n free slices to host h and appends them to dst,
+// returning the extended slice; a caller that passes a reused buffer
+// allocates nothing. It assigns nothing, and returns dst unchanged, if
+// fewer than n slices are free.
+func (d *Device) AssignAny(dst []SliceID, n int, h HostID) ([]SliceID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.failed {
-		return nil, ErrDeviceFailed
+		return dst, ErrDeviceFailed
 	}
 	if err := d.validHost(h); err != nil {
-		return nil, err
+		return dst, err
 	}
-	var free []SliceID
+	base := len(dst)
 	for i, o := range d.owner {
 		if o == Unowned {
-			free = append(free, SliceID(i))
-			if len(free) == n {
+			dst = append(dst, SliceID(i))
+			if len(dst)-base == n {
 				break
 			}
 		}
 	}
+	free := dst[base:]
 	if len(free) < n {
-		return nil, fmt.Errorf("%w: need %d, have %d", ErrNoFreeSlice, n, len(free))
+		return dst[:base], fmt.Errorf("%w: need %d, have %d", ErrNoFreeSlice, n, len(free))
 	}
 	for _, s := range free {
 		d.owner[s] = h
 		d.assignments++
 	}
-	return free, nil
+	return dst, nil
 }
 
 // Release returns slice s from host h to the free pool (the Pool

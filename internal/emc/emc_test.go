@@ -81,7 +81,7 @@ func TestAssignValidation(t *testing.T) {
 
 func TestAssignAny(t *testing.T) {
 	d := newTestDevice()
-	slices, err := d.AssignAny(5, 1)
+	slices, err := d.AssignAny(nil, 5, 1)
 	if err != nil || len(slices) != 5 {
 		t.Fatalf("AssignAny = %v, %v", slices, err)
 	}
@@ -95,12 +95,43 @@ func TestAssignAny(t *testing.T) {
 	}
 }
 
+// TestAssignAnyAppendsToCallerBuffer pins the buffer contract the Pool
+// Manager's hot path relies on: slices are appended after dst's
+// contents in dst's own backing array, a refusal returns dst unchanged,
+// and a reused buffer makes assignment allocation-free.
+func TestAssignAnyAppendsToCallerBuffer(t *testing.T) {
+	d := NewDevice("buf", 8, 4)
+	buf := append(make([]SliceID, 0, 8), 99)
+	got, err := d.AssignAny(buf, 3, 1)
+	if err != nil || len(got) != 4 || got[0] != 99 || &got[0] != &buf[0] {
+		t.Fatalf("AssignAny(buf) = %v, %v; want 99 then 3 slices in buf's array", got, err)
+	}
+	if got, err := d.AssignAny(buf[:1], 6, 2); err == nil || len(got) != 1 || got[0] != 99 {
+		t.Fatalf("refused AssignAny = %v, %v; want buf unchanged and an error", got, err)
+	}
+	scratch := make([]SliceID, 0, 4)
+	avg := testing.AllocsPerRun(50, func() {
+		scratch, err = d.AssignAny(scratch[:0], 4, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range scratch {
+			if err := d.Release(s, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("AssignAny into a reused buffer allocates %.1f times", avg)
+	}
+}
+
 func TestAssignAnyInsufficientIsAtomic(t *testing.T) {
 	d := NewDevice("small", 4, 8)
-	if _, err := d.AssignAny(3, 0); err != nil {
+	if _, err := d.AssignAny(nil, 3, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, err := d.AssignAny(2, 1)
+	_, err := d.AssignAny(nil, 2, 1)
 	if !errors.Is(err, ErrNoFreeSlice) {
 		t.Fatalf("err = %v, want ErrNoFreeSlice", err)
 	}
@@ -186,7 +217,7 @@ func TestFailureBlastRadius(t *testing.T) {
 	if err := d1.Access(0, 1); !errors.Is(err, ErrDeviceFailed) {
 		t.Fatalf("access on failed device = %v", err)
 	}
-	if _, err := d1.AssignAny(1, 0); !errors.Is(err, ErrDeviceFailed) {
+	if _, err := d1.AssignAny(nil, 1, 0); !errors.Is(err, ErrDeviceFailed) {
 		t.Fatalf("assign on failed device = %v", err)
 	}
 	if err := d2.Access(0, 1); err != nil {
@@ -226,7 +257,7 @@ func TestAssignmentsCounter(t *testing.T) {
 	d := newTestDevice()
 	d.Assign(0, 1)
 	d.Assign(0, 1) // idempotent, not counted
-	d.AssignAny(2, 2)
+	d.AssignAny(nil, 2, 2)
 	if got := d.Assignments(); got != 3 {
 		t.Fatalf("assignments = %d, want 3", got)
 	}
@@ -240,7 +271,7 @@ func TestConcurrentAssignNoDoubleOwnership(t *testing.T) {
 		wg.Add(1)
 		go func(h int) {
 			defer wg.Done()
-			s, err := d.AssignAny(8, HostID(h))
+			s, err := d.AssignAny(nil, 8, HostID(h))
 			if err != nil {
 				t.Errorf("host %d: %v", h, err)
 				return
@@ -418,7 +449,7 @@ func TestGrowAndRetire(t *testing.T) {
 	d := NewDevice("emc0", 8, 4)
 
 	// Retire is capped by the free slices and never touches owned ones.
-	slices, err := d.AssignAny(3, 1)
+	slices, err := d.AssignAny(nil, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -697,8 +697,9 @@ func newCellSim(cell int, o Options, insens predict.Insensitivity, threshold flo
 
 	// With predictions on, inference flows through the serving layer
 	// (§5). Under cell scope the mlops manager shadow-scores every
-	// decision — with retraining disabled it runs monitor-only, so frozen
-	// and retrained fleets report the same prediction-error metrics.
+	// decision — with retraining disabled it runs monitor-only (no
+	// training rows), so frozen and retrained fleets report the same
+	// prediction-error metrics.
 	// Under fleet scope the barrier loop attaches a fleetpipeline
 	// Collector instead, after construction.
 	if !o.Model.Disabled {
@@ -714,6 +715,7 @@ func newCellSim(cell int, o Options, insens predict.Insensitivity, threshold flo
 				mcfg.MinTrainRows = o.Model.MinTrainRows
 			}
 			mcfg.Seed = stats.ShardSeed(o.Engine.Seed, cell)
+			mcfg.MonitorOnly = o.Model.RetrainEverySec == 0
 			c.mgr = mlops.NewManager(mcfg, cell, c.srv, insens, threshold, um,
 				c.ratio, qosPDM, c.pipe.SetInsensThreshold)
 			c.pipe.SetShadowHook(c.mgr.ObserveDecision)

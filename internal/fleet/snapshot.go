@@ -397,14 +397,15 @@ func (c *cellSim) restoreState(cs CellState, now float64, fp *fleetpipeline.Mana
 
 	// Model planes. The mlops restore re-pushes the serving insensitivity
 	// threshold into the pipeline; the server is re-pinned to the restored
-	// champions under its snapshotted generation, then its counters are
-	// restored (caches rebuild empty — a miss recomputes the same score).
+	// champions under its snapshotted generation, then its counters and
+	// prediction caches are restored (the caches are semantic state: a
+	// generation serves the first score it gave a customer/workload pair).
 	if (c.mgr != nil) != (cs.Mlops != nil) {
 		return fmt.Errorf("cell %d: snapshot and options disagree on the cell-scoped model lifecycle", c.cell)
 	}
 	if c.mgr != nil {
 		if err := c.mgr.SetState(*cs.Mlops); err != nil {
-			return fmt.Errorf("cell %d: mlops: %w", c.cell, err)
+			return fmt.Errorf("cell %d: %w", c.cell, err)
 		}
 	}
 	if (c.col != nil) != (cs.Collector != nil) {
@@ -475,8 +476,9 @@ func (c *cellSim) restoreState(cs CellState, now float64, fp *fleetpipeline.Mana
 // fails the restore instead of panicking in a later Advance: each event
 // must be of a known kind, sit at a finite time at or after the safe
 // point now (every pending event does), and index an existing arrival
-// or injection; retrain ticks need the cell-scoped manager; and the
-// backing array must keep the heap order popMin relies on.
+// or injection; retrain ticks need a cell-scoped manager that retrains
+// (not a monitor-only one); and the backing array must keep the heap
+// order popMin relies on.
 func (c *cellSim) restoreHeap(heap []EventState, now float64) error {
 	c.q = c.q[:0]
 	for i, es := range heap {
@@ -495,6 +497,9 @@ func (c *cellSim) restoreHeap(heap []EventState, now float64) error {
 		case evRetrain:
 			if c.mgr == nil {
 				return fmt.Errorf("snapshot event %d is a retrain tick, but the cell runs no cell-scoped model lifecycle", i)
+			}
+			if c.o.Model.RetrainEverySec == 0 {
+				return fmt.Errorf("snapshot event %d is a retrain tick, but the cell's model lifecycle is monitor-only", i)
 			}
 		case evDepart:
 		default:

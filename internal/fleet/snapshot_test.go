@@ -229,6 +229,28 @@ func TestRestoreRejectsVersionAndShape(t *testing.T) {
 	}
 }
 
+// pushed adds one event to a snapshotted heap the way the cell queue
+// would, sifting it up so the heap order holds and only the field under
+// test is wrong. By default it fires at t=250: after a t=200 safe point,
+// before a 400 s horizon, so an unchecked restore pops it on the next
+// Advance.
+func pushed(h []EventState, ev EventState) []EventState {
+	if ev.At == 0 {
+		ev.At = 250
+	}
+	ev.Seq = seqRuntimeBand + 1<<30
+	h = append(h, ev)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if h[i].At < h[j].At || (h[i].At == h[j].At && h[i].Seq < h[j].Seq) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	return h
+}
+
 // TestRestoreRejectsTamperedHeap pins that a restore checks every
 // pending event against the rebuilt cell instead of trusting the
 // snapshot. Each mutation is applied to a real mid-run snapshot after a
@@ -252,26 +274,6 @@ func TestRestoreRejectsTamperedHeap(t *testing.T) {
 	wire, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// pushed adds one event the way the cell queue would, sifting it up
-	// so the heap order holds and only the field under test is wrong. By
-	// default it fires at t=250: after the safe point, before the
-	// horizon, so an unchecked restore pops it on the next Advance.
-	pushed := func(h []EventState, ev EventState) []EventState {
-		if ev.At == 0 {
-			ev.At = 250
-		}
-		ev.Seq = seqRuntimeBand + 1<<30
-		h = append(h, ev)
-		for j := len(h) - 1; j > 0; {
-			i := (j - 1) / 2
-			if h[i].At < h[j].At || (h[i].At == h[j].At && h[i].Seq < h[j].Seq) {
-				break
-			}
-			h[i], h[j] = h[j], h[i]
-			j = i
-		}
-		return h
 	}
 	cases := []struct {
 		name   string
@@ -331,6 +333,36 @@ func TestRestoreRejectsTamperedHeap(t *testing.T) {
 	}
 	if _, err := restored.Finish(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreRejectsRetrainTickWhenMonitorOnly pins that a cell whose
+// run never retrains refuses a snapshotted retrain tick: its
+// monitor-only manager keeps no training rows, so a tick there would
+// judge and train on a corpus the run never collected.
+func TestRestoreRejectsRetrainTickWhenMonitorOnly(t *testing.T) {
+	ctx := context.Background()
+	o := testOptions()
+	o.Cluster.Cells = 1
+	o.Model.Disabled = false // cell scope, RetrainEverySec 0: monitor-only
+	r, err := NewRunner(ctx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Advance(ctx, 200); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Cells[0].Mlops == nil {
+		t.Fatal("snapshot has no cell-scoped model lifecycle")
+	}
+	snap.Cells[0].Heap = pushed(snap.Cells[0].Heap, EventState{Kind: evRetrain})
+	if _, err := RestoreRunner(ctx, o, snap); err == nil || !strings.Contains(err.Error(), "cell 0") ||
+		!strings.Contains(err.Error(), "monitor-only") {
+		t.Fatalf("restore error = %v, want a refused retrain tick in cell 0's monitor-only lifecycle", err)
 	}
 }
 

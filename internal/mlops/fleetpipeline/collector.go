@@ -103,7 +103,7 @@ func (c *Collector) ObserveDecision(vm cluster.VMRequest, _ *pmu.Vector, umFeatu
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p := mlops.ScoreAdmission(&c.slots, vm.ID, umFeatures)
+	p := mlops.ScoreAdmission(&c.slots, vm.ID, append([]float64(nil), umFeatures...))
 	if c.serve != nil {
 		p.Serve = c.serve.PredictUntouchedFrac(p.Feats)
 	}

@@ -69,6 +69,11 @@ type Config struct {
 	LabelRate float64
 	// Seed roots every challenger's training RNG.
 	Seed int64
+	// MonitorOnly marks a manager that is never ticked: it shadow-scores
+	// decisions and closes their holdout observations as usual, but
+	// stores no training rows (nor the pending admission features that
+	// would become them), which only a retrain tick reads.
+	MonitorOnly bool
 }
 
 // DefaultConfig returns the lifecycle defaults used by the fleet loop.
@@ -298,11 +303,13 @@ type Manager struct {
 	ratio, pdm float64
 
 	// Untouched-memory family: scored at admission, so each pending score
-	// carries the versions live when the VM was placed.
+	// carries the versions live when the VM was placed. featBuf is the
+	// monitor-only scoring copy of the admission features.
 	um      lifecycle[predict.Untouched]
 	pending map[cluster.VMID]Pending
 	umX     [][]float64
 	umY     []float64
+	featBuf []float64
 
 	// Latency-insensitivity family: scored at departure, with the
 	// versions live then.
@@ -346,13 +353,23 @@ func (m *Manager) ObserveDecision(vm cluster.VMRequest, counters *pmu.Vector, um
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.pending[vm.ID] = ScoreAdmission(&m.um.Slots, vm.ID, umFeatures)
+	if m.cfg.MonitorOnly {
+		// Score a reused copy and keep none: the features would only
+		// ever become a training row.
+		m.featBuf = append(m.featBuf[:0], umFeatures...)
+		p := ScoreAdmission(&m.um.Slots, vm.ID, m.featBuf)
+		p.Feats = nil
+		m.pending[vm.ID] = p
+		return
+	}
+	m.pending[vm.ID] = ScoreAdmission(&m.um.Slots, vm.ID, append([]float64(nil), umFeatures...))
 }
 
 // ObserveOutcome records a departed VM's ground truth: the untouched
 // fraction closes the pending untouched-memory shadow scores, and the
 // workload's all-pool slowdown labels the insensitivity contenders on
-// the VM's mean telemetry counters.
+// the VM's mean telemetry counters. Unless the manager is monitor-only,
+// both outcomes also become training rows.
 func (m *Manager) ObserveOutcome(vm cluster.VMRequest, counters pmu.Vector, haveCounters bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -361,8 +378,10 @@ func (m *Manager) ObserveOutcome(vm cluster.VMRequest, counters pmu.Vector, have
 		delete(m.pending, vm.ID)
 		label := vm.GroundTruth.UntouchedFrac
 		m.um.observe(p.Close(label, m.cfg.OverPenalty), m.cfg.HoldoutWindow)
-		m.umX = AppendCapped(m.umX, p.Feats, m.cfg.MaxTrainRows)
-		m.umY = AppendCapped(m.umY, label, m.cfg.MaxTrainRows)
+		if !m.cfg.MonitorOnly {
+			m.umX = AppendCapped(m.umX, p.Feats, m.cfg.MaxTrainRows)
+			m.umY = AppendCapped(m.umY, label, m.cfg.MaxTrainRows)
+		}
 	}
 
 	if haveCounters && vm.GroundTruth.Workload.Name != "" {
@@ -382,8 +401,10 @@ func (m *Manager) ObserveOutcome(vm cluster.VMRequest, counters pmu.Vector, have
 			return c.Score(counters)
 		})
 		m.ins.observe(p.Close(label, m.cfg.OverPenalty), m.cfg.HoldoutWindow)
-		m.insX = AppendCapped(m.insX, counters.Features(), m.cfg.MaxTrainRows)
-		m.insY = AppendCapped(m.insY, label, m.cfg.MaxTrainRows)
+		if !m.cfg.MonitorOnly {
+			m.insX = AppendCapped(m.insX, counters.Features(), m.cfg.MaxTrainRows)
+			m.insY = AppendCapped(m.insY, label, m.cfg.MaxTrainRows)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package mlops
 
 import (
+	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -29,10 +31,12 @@ func testVM(id int, untouched float64) cluster.VMRequest {
 	}
 }
 
-// feats is a fixed-size feature vector whose first entry tracks the
-// label, so a trained GBM can actually learn the mapping.
+// feats is an untouched-memory feature vector whose first entry tracks
+// the label, so a trained GBM can actually learn the mapping.
 func feats(label float64) []float64 {
-	return []float64{label, 1, 2, 3}
+	x := make([]float64, predict.UMFeatureCount)
+	x[0], x[1], x[2], x[3] = label, 1, 2, 3
+	return x
 }
 
 func testConfig() Config {
@@ -156,7 +160,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if chall == nil || chall.Ver != 1 || chall.Rows != 24 || chall.TrainedAtSec != 100 {
 		t.Fatalf("challenger snapshot = %+v", chall)
 	}
-	rebuilt, err := LoadUM(*chall)
+	// The dumped model is the one the state loader rebuilds.
+	rebuilt, err := loadUMState(&UMModelState{Model: chall.Model, Margin: m.um.Chall.(*predict.GBMUntouched).Margin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,4 +231,125 @@ func TestConcurrentScoringDuringSwap(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestMonitorOnlyKeepsNoCorpus drives a retraining and a monitor-only
+// manager with the same admissions and outcomes. Until a tick, both
+// must hold the same holdout windows, loss sums and pending scores; the
+// monitor-only one must store no training rows or pending features,
+// serialize none, and drop those of a state that carries them.
+func TestMonitorOnlyKeepsNoCorpus(t *testing.T) {
+	build := func(monitorOnly bool) *Manager {
+		cfg := testConfig()
+		cfg.MonitorOnly = monitorOnly
+		ins := predict.CounterThreshold{Counter: pmu.DRAMBound}
+		return NewManager(cfg, 0, nil, ins, 0.5, predict.FixedUntouched{Frac: 0.2}, 1.82, 0.05, nil)
+	}
+	feed := func(m *Manager) {
+		for i := 0; i < 80; i++ {
+			vm := testVM(i, float64(i%5)/5)
+			m.ObserveDecision(vm, nil, feats(vm.GroundTruth.UntouchedFrac), coreDecision())
+			if i%7 == 6 {
+				continue // still running: its score stays pending
+			}
+			var ctr pmu.Vector
+			ctr[pmu.DRAMBound] = float64(i%3) / 3
+			m.ObserveOutcome(vm, ctr, true)
+		}
+	}
+	retrain, monitor := build(false), build(true)
+	feed(retrain)
+	feed(monitor)
+
+	if len(monitor.umX)+len(monitor.umY)+len(monitor.insX)+len(monitor.insY) != 0 {
+		t.Fatalf("monitor-only manager kept rows: um %d/%d, insens %d/%d",
+			len(monitor.umX), len(monitor.umY), len(monitor.insX), len(monitor.insY))
+	}
+	if len(retrain.umX) == 0 || len(retrain.insX) == 0 {
+		t.Fatal("retraining manager kept no rows")
+	}
+	rs, err := retrain.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := monitor.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mj := mustJSON(t, ms)
+	for _, key := range []string{`"um_x"`, `"um_y"`, `"ins_x"`, `"ins_y"`, `"feats"`} {
+		if strings.Contains(mj, key) {
+			t.Fatalf("monitor-only state carries %s", key)
+		}
+	}
+	// Apart from the rows, the two states are the same bytes.
+	stripped := rs
+	stripped.UMX, stripped.UMY, stripped.InsX, stripped.InsY = nil, nil, nil, nil
+	stripped.Pending = slices.Clone(rs.Pending)
+	for i := range stripped.Pending {
+		stripped.Pending[i].Feats = nil
+	}
+	if sj := mustJSON(t, stripped); sj != mj {
+		t.Fatalf("monitor-only state differs beyond the rows:\n%s\nvs\n%s", mj, sj)
+	}
+	if retrain.Quality() != monitor.Quality() {
+		t.Fatalf("quality differs: %+v vs %+v", retrain.Quality(), monitor.Quality())
+	}
+
+	// A state written with rows restores onto a monitor-only manager
+	// without them.
+	restored := build(true)
+	if err := restored.SetState(rs); err != nil {
+		t.Fatal(err)
+	}
+	again, err := restored.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustJSON(t, again); got != mj {
+		t.Fatalf("restored monitor-only state:\n%s\nwant\n%s", got, mj)
+	}
+}
+
+// TestMonitorOnlyOutcomeAllocs pins that closing an outcome copies no
+// counters and appends no row once the holdout windows are full.
+func TestMonitorOnlyOutcomeAllocs(t *testing.T) {
+	for _, monitorOnly := range []bool{true, false} {
+		cfg := testConfig()
+		cfg.MonitorOnly = monitorOnly
+		m := NewManager(cfg, 0, nil, predict.CounterThreshold{Counter: pmu.DRAMBound}, 0.5,
+			predict.FixedUntouched{Frac: 0.2}, 1.82, 0.05, nil)
+		// Fill both holdout windows to their cap, then score the VMs the
+		// measured outcomes close.
+		drive(m, 0, 2*cfg.HoldoutWindow, 0.4)
+		for i := 0; i < cfg.HoldoutWindow; i++ {
+			m.ObserveOutcome(testVM(i, 0.4), pmu.Vector{}, true)
+		}
+		const runs = 50
+		vms := make([]cluster.VMRequest, runs+1)
+		for i := range vms {
+			vms[i] = testVM(1000+i, 0.4)
+			m.ObserveDecision(vms[i], nil, feats(0.4), coreDecision())
+		}
+		next := 0
+		avg := testing.AllocsPerRun(runs, func() {
+			m.ObserveOutcome(vms[next], pmu.Vector{}, true)
+			next++
+		})
+		if monitorOnly && avg != 0 {
+			t.Fatalf("monitor-only ObserveOutcome allocates %.1f times per outcome, want 0", avg)
+		}
+		if !monitorOnly && avg < 1 {
+			t.Fatalf("retraining ObserveOutcome allocates %.1f times per outcome; the row copy went missing", avg)
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -57,12 +57,13 @@ func (s *Slots[M]) DropChallenger() {
 
 // Pending is one in-flight VM's shadow scores: each contender's
 // prediction, stamped with the version that made it (-1 for an empty
-// slot), held until the VM departs. Serve is the prediction of the
-// model on the request path, where that differs from the champion (the
-// fleet pipeline's canary cells).
+// slot), held until the VM departs. Feats are the admission features
+// that become a training row at departure (nil when nothing trains).
+// Serve is the prediction of the model on the request path, where that
+// differs from the champion (the fleet pipeline's canary cells).
 type Pending struct {
 	VM       cluster.VMID `json:"vm"`
-	Feats    []float64    `json:"feats"`
+	Feats    []float64    `json:"feats,omitempty"`
 	Champ    float64      `json:"champ"`
 	Chall    float64      `json:"chall"`
 	Fb       float64      `json:"fb"`
@@ -102,9 +103,10 @@ func (s *Slots[M]) score(score func(M) float64) Pending {
 }
 
 // ScoreAdmission shadow-scores one admission's untouched-memory
-// features with every contender in s, keeping its own copy of them.
-func ScoreAdmission(s *Slots[predict.Untouched], vm cluster.VMID, umFeatures []float64) Pending {
-	feats := append([]float64(nil), umFeatures...)
+// features with every contender in s, and keeps feats as the result's
+// Feats. Callers pass a copy: the models read feats through an
+// interface, so a caller's own slice would escape to the heap.
+func ScoreAdmission(s *Slots[predict.Untouched], vm cluster.VMID, feats []float64) Pending {
 	p := s.score(func(u predict.Untouched) float64 { return u.PredictUntouchedFrac(feats) })
 	p.VM, p.Feats = vm, feats
 	return p

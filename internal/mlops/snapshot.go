@@ -99,25 +99,3 @@ func marshalInsens(i predict.Insensitivity) (json.RawMessage, error) {
 	}
 	return json.Marshal(map[string]string{"kind": "heuristic", "name": i.Name()})
 }
-
-// LoadUM rebuilds an untouched-memory model from a snapshot's wire form —
-// the serving-side half of the export path.
-func LoadUM(s ModelSnapshot) (predict.Untouched, error) {
-	if s.Family != FamilyUM {
-		return nil, fmt.Errorf("mlops: snapshot family %q is not %s", s.Family, FamilyUM)
-	}
-	var probe struct {
-		Kind string `json:"kind"`
-	}
-	if err := json.Unmarshal(s.Model, &probe); err != nil {
-		return nil, fmt.Errorf("mlops: snapshot model: %w", err)
-	}
-	if probe.Kind == "gbm" {
-		g, err := ml.ImportGBM(bytes.NewReader(s.Model))
-		if err != nil {
-			return nil, err
-		}
-		return predict.WrapGBMUntouched(g), nil
-	}
-	return nil, fmt.Errorf("mlops: cannot rebuild %q model %q", s.Family, probe.Kind)
-}

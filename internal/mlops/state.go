@@ -35,7 +35,8 @@ type InsModelState struct {
 	Threshold float64         `json:"threshold"`
 }
 
-// State is the full serializable state of a Manager.
+// State is the full serializable state of a Manager. A monitor-only
+// manager's state has no training rows.
 type State struct {
 	UMChamp *UMModelState                `json:"um_champ,omitempty"`
 	UMChall *UMModelState                `json:"um_chall,omitempty"`
@@ -143,8 +144,8 @@ func insModelState(c insModel) (*InsModelState, error) {
 }
 
 // loadUMState rebuilds an untouched-memory model from its wire form,
-// heuristics included (LoadUM only handles trained ensembles). A trained
-// model must read exactly the untouched-memory feature vector.
+// heuristics included. A trained model must read exactly the
+// untouched-memory feature vector.
 func loadUMState(s *UMModelState) (predict.Untouched, error) {
 	if s == nil {
 		return nil, nil
@@ -161,7 +162,7 @@ func loadUMState(s *UMModelState) (predict.Untouched, error) {
 	case "gbm":
 		g, err := ml.ImportGBM(bytes.NewReader(s.Model))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("mlops: um model: %w", err)
 		}
 		if g.Features() != predict.UMFeatureCount {
 			return nil, fmt.Errorf("mlops: um model reads %d features, the untouched-memory input has %d",
@@ -198,7 +199,7 @@ func loadInsState(s *InsModelState) (insModel, error) {
 	case "forest":
 		f, err := ml.ImportForest(bytes.NewReader(s.Model))
 		if err != nil {
-			return insModel{}, err
+			return insModel{}, fmt.Errorf("mlops: insens model: %w", err)
 		}
 		if f.Features() != pmu.NumCounters {
 			return insModel{}, fmt.Errorf("mlops: insens model reads %d features, the counter vector has %d",
@@ -252,7 +253,10 @@ func (m *Manager) State() (State, error) {
 // manager (same config, cell, server wiring). It rebuilds every model
 // slot from its wire form and re-installs the serving pair — models and
 // insensitivity threshold — without disturbing the serving generation,
-// which the caller restores separately on the predict.Server.
+// which the caller restores separately on the predict.Server. A
+// monitor-only manager drops any training rows and pending features the
+// state carries (a snapshot from a build that kept them while
+// monitoring).
 func (m *Manager) SetState(s State) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -273,8 +277,15 @@ func (m *Manager) SetState(s State) error {
 	um.meta, ins.meta = metaMap(s.UMMeta), metaMap(s.InsMeta)
 	m.um, m.ins = um, ins
 	m.pending = PendingMap(s.Pending)
-	m.umX, m.umY = CloneRows(s.UMX), slices.Clone(s.UMY)
-	m.insX, m.insY = CloneRows(s.InsX), slices.Clone(s.InsY)
+	if m.cfg.MonitorOnly {
+		for id, p := range m.pending {
+			p.Feats = nil
+			m.pending[id] = p
+		}
+	} else {
+		m.umX, m.umY = CloneRows(s.UMX), slices.Clone(s.UMY)
+		m.insX, m.insY = CloneRows(s.InsX), slices.Clone(s.InsY)
+	}
 	m.events = slices.Clone(s.Events)
 	m.pushThresholdLocked()
 	return nil

@@ -17,6 +17,7 @@ package pool
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pond/internal/emc"
@@ -83,12 +84,29 @@ type Manager struct {
 	onlineOps  int64
 	releaseOps int64
 
-	// flat caches the all-devices index list for flat connectivity and
-	// orderScratch holds AddCapacity's fill-order sort between calls; the
-	// device set never changes size after construction, so both are pure
-	// reuse — AddCapacity's steady state allocates nothing.
+	// flat caches the all-devices index list for flat connectivity;
+	// orderScratch holds AddCapacity's fill-order sort and sliceScratch
+	// one device's assigned slices between calls. All three are pure
+	// reuse: AddCapacity's steady state allocates only the result's
+	// slice list, which the caller keeps, and a refusal's error.
 	flat         []int
 	orderScratch []int
+	sliceScratch []emc.SliceID
+}
+
+// exhaustedError is AddCapacity's refusal when the reachable free and
+// draining capacity cannot cover a request — the routine pool-exhaustion
+// probe behind every fallback to all-local. Rendering the message lazily
+// keeps that path (the scheduler only checks for an error) down to one
+// allocation instead of fmt.Errorf's several.
+type exhaustedError struct {
+	gb, free, covered int
+	host              emc.HostID
+}
+
+func (e *exhaustedError) Error() string {
+	return fmt.Sprintf("pool: %d GB requested, %d free and %d draining reachable from host %d",
+		e.gb, e.free, e.covered, e.host)
 }
 
 // NewManager creates a Pool Manager over the given EMCs with flat
@@ -192,7 +210,12 @@ func (m *Manager) drain(now float64) {
 		// gone with the device and dropping it is correct.
 		_ = m.emcs[p.ref.EMC].Release(p.ref.Slice, p.host)
 	}
-	m.pending = m.pending[i:]
+	if i > 0 {
+		// Shift the rest to the front rather than reslicing past the
+		// drained entries, so later appends reuse the array instead of
+		// regrowing it.
+		m.pending = m.pending[:copy(m.pending, m.pending[i:])]
+	}
 }
 
 // AddCapacity implements the add_capacity(host, slice) flow: pick gb
@@ -228,8 +251,7 @@ func (m *Manager) AddCapacity(h emc.HostID, gb int, now float64) (AddResult, err
 			}
 		}
 		if covered < shortfall {
-			return AddResult{}, fmt.Errorf("pool: %d GB requested, %d free and %d draining reachable from host %d",
-				gb, free, covered, h)
+			return AddResult{}, &exhaustedError{gb: gb, free: free, covered: covered, host: h}
 		}
 		res.WaitedSec = waitUntil - now
 		if res.WaitedSec > 0 {
@@ -242,16 +264,17 @@ func (m *Manager) AddCapacity(h emc.HostID, gb int, now float64) (AddResult, err
 
 	// Among the EMCs this host reaches, prefer filling from the one with
 	// the most free slices: keeps each VM's pool memory on one EMC,
-	// minimizing failure blast radius.
+	// minimizing failure blast radius. Ties go to the lower index, so the
+	// order is total and any sort algorithm yields the same one.
 	order := append(m.orderScratch[:0], m.devicesFor(h)...)
 	m.orderScratch = order
-	sort.Slice(order, func(a, b int) bool {
-		fa, fb := m.emcs[order[a]].FreeSlices(), m.emcs[order[b]].FreeSlices()
-		if fa != fb {
-			return fa > fb
+	slices.SortFunc(order, func(a, b int) int {
+		if fa, fb := m.emcs[a].FreeSlices(), m.emcs[b].FreeSlices(); fa != fb {
+			return fb - fa
 		}
-		return order[a] < order[b]
+		return a - b
 	})
+	res.Slices = make([]SliceRef, 0, need)
 	for _, di := range order {
 		if need == 0 {
 			break
@@ -264,11 +287,12 @@ func (m *Manager) AddCapacity(h emc.HostID, gb int, now float64) (AddResult, err
 		if take == 0 {
 			continue
 		}
-		slices, err := d.AssignAny(take, h)
+		assigned, err := d.AssignAny(m.sliceScratch[:0], take, h)
+		m.sliceScratch = assigned
 		if err != nil {
 			continue // failed EMC: try the next one
 		}
-		for _, s := range slices {
+		for _, s := range assigned {
 			res.Slices = append(res.Slices, SliceRef{EMC: di, Slice: s})
 		}
 		need -= take

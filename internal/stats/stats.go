@@ -31,23 +31,31 @@ func Quantile(xs []float64, q float64) float64 {
 
 // QuantileSorted is Quantile for inputs already sorted ascending.
 func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
+	return QuantileSortedFunc(len(sorted), q, func(i int) float64 { return sorted[i] })
+}
+
+// QuantileSortedFunc is QuantileSorted over n ascending values read
+// through at(0) … at(n-1), for callers whose sorted values are not laid
+// out as one []float64. Both share this arithmetic, so they return the
+// same bits for the same values.
+func QuantileSortedFunc(n int, q float64, at func(i int) float64) float64 {
+	if n == 0 {
 		panic("stats: QuantileSorted of empty slice")
 	}
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("stats: quantile %v out of range [0,1]", q))
 	}
-	if len(sorted) == 1 {
-		return sorted[0]
+	if n == 1 {
+		return at(0)
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return sorted[lo]
+		return at(lo)
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return at(lo)*(1-frac) + at(hi)*frac
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs.

@@ -7,6 +7,8 @@
 package telemetry
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -19,18 +21,28 @@ import (
 // in production; much smaller here since the models consume means).
 const maxSamplesPerVM = 256
 
-// untouchedRecord is one completed VM's outcome.
+// untouchedRecord is one completed VM's outcome. sorted is storage the
+// record lends to its customer's memoized window (histWindow): over
+// that window's records recs[lo:hi], the sorted fields hold the
+// window's untouched values in ascending order. Appends carry it along
+// with the record; State does not serialize it.
 type untouchedRecord struct {
 	endSec    float64
 	untouched float64 // fraction of rented memory never touched
+	sorted    float64
 }
 
-// histWindow memoizes one customer's last computed history: as long as
-// a later query selects the same record span [lo, hi), the percentiles
-// are unchanged and the sort is skipped.
+// histWindow memoizes one customer's last computed history: the record
+// span [lo, hi) whose sorted values recs[lo:hi].sorted holds, and its
+// percentiles. A later query for the same span returns h unchanged; one
+// whose span only moved forward updates the sorted values in place
+// (slideWindow). irregular marks a span holding a value whose place
+// among equal values sort.Float64s leaves open (see regular), which only
+// a fresh sort reproduces.
 type histWindow struct {
-	lo, hi int
-	h      History
+	lo, hi    int
+	h         History
+	irregular bool
 }
 
 // maxFreeSampleBufs bounds the recycled sample-buffer freelist; buffers
@@ -173,56 +185,138 @@ func (h History) HasHistory() bool { return h.Count >= 3 }
 //
 // The online path (every fleet admission calls this) is allocation-free:
 // records appended in time order are window-selected by binary search,
-// the percentile sort reuses a store-level scratch buffer, and a window
-// identical to the customer's previous query returns the memoized
-// result. Customers with out-of-order outcomes take the original scan.
+// a window identical to the customer's previous query returns the
+// memoized result, a window that moved forward by a few records updates
+// the previous window's sorted values in place, and any other window is
+// sorted afresh in a store-level scratch buffer. Customers with
+// out-of-order outcomes take the original scan.
 func (s *Store) CustomerHistory(c cluster.CustomerID, beforeSec, windowSec float64) History {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	recs := s.history[c]
+	if s.histUnsorted[c] {
+		return s.scanHistory(recs, beforeSec, windowSec)
+	}
+	// Records are endSec-ascending: the window is the contiguous span
+	// [lo, hi) with lo the first record >= beforeSec-windowSec and hi
+	// the first record >= beforeSec.
+	from := beforeSec - windowSec
+	lo := sort.Search(len(recs), func(i int) bool { return recs[i].endSec >= from })
+	hi := sort.Search(len(recs), func(i int) bool { return recs[i].endSec >= beforeSec })
+	if hi <= lo {
+		return History{}
+	}
+	w, ok := s.histCache[c]
+	if ok && w.lo == lo && w.hi == hi {
+		return w.h
+	}
+	if !ok || w.irregular || !slideWindow(recs, w.lo, w.hi, lo, hi) {
+		w.irregular = s.sortWindow(recs[lo:hi])
+	}
+	win := recs[lo:hi]
+	w.lo, w.hi = lo, hi
+	w.h = summarize(len(win), func(i int) float64 { return win[i].sorted })
+	s.histCache[c] = w
+	return w.h
+}
+
+// scanHistory is CustomerHistory for a customer whose outcomes arrived
+// out of endSec order: a full scan and a scratch sort, never memoized.
+func (s *Store) scanHistory(recs []untouchedRecord, beforeSec, windowSec float64) History {
 	xs := s.histScratch[:0]
-	lo, hi := 0, 0
-	if !s.histUnsorted[c] {
-		// Records are endSec-ascending: the window is the contiguous
-		// span [lo, hi) with lo the first record >= beforeSec-windowSec
-		// and hi the first record >= beforeSec.
-		from := beforeSec - windowSec
-		lo = sort.Search(len(recs), func(i int) bool { return recs[i].endSec >= from })
-		hi = sort.Search(len(recs), func(i int) bool { return recs[i].endSec >= beforeSec })
-		if hi <= lo {
-			return History{}
-		}
-		if w, ok := s.histCache[c]; ok && w.lo == lo && w.hi == hi {
-			return w.h
-		}
-		for _, rec := range recs[lo:hi] {
+	for _, rec := range recs {
+		if rec.endSec < beforeSec && rec.endSec >= beforeSec-windowSec {
 			xs = append(xs, rec.untouched)
 		}
-	} else {
-		for _, rec := range recs {
-			if rec.endSec < beforeSec && rec.endSec >= beforeSec-windowSec {
-				xs = append(xs, rec.untouched)
-			}
-		}
-		if len(xs) == 0 {
-			s.histScratch = xs
-			return History{}
-		}
-	}
-	sort.Float64s(xs)
-	h := History{
-		Count: len(xs),
-		P0:    xs[0],
-		P25:   stats.QuantileSorted(xs, 0.25),
-		P50:   stats.QuantileSorted(xs, 0.50),
-		P75:   stats.QuantileSorted(xs, 0.75),
-		P100:  xs[len(xs)-1],
 	}
 	s.histScratch = xs
-	if !s.histUnsorted[c] {
-		s.histCache[c] = histWindow{lo: lo, hi: hi, h: h}
+	if len(xs) == 0 {
+		return History{}
 	}
-	return h
+	sort.Float64s(xs)
+	return summarize(len(xs), func(i int) float64 { return xs[i] })
+}
+
+// sortWindow sorts the window's untouched values into its records'
+// sorted fields through the scratch buffer, and reports whether any of
+// them is irregular.
+func (s *Store) sortWindow(win []untouchedRecord) (irregular bool) {
+	xs := s.histScratch[:0]
+	for _, rec := range win {
+		xs = append(xs, rec.untouched)
+		irregular = irregular || !regular(rec.untouched)
+	}
+	sort.Float64s(xs)
+	for i := range win {
+		win[i].sorted = xs[i]
+	}
+	s.histScratch = xs
+	return irregular
+}
+
+// slideWindow moves a customer's sorted window from recs[oldLo:oldHi]
+// to recs[lo:hi] in place, when the window only moved forward and
+// kept records in common: the values of the records that left are
+// deleted and the values of the records that entered are insertion-
+// sorted, which leaves the same ascending values a fresh sort would. It
+// reports false, touching nothing, when the window moved otherwise, an
+// entering value is irregular, or more records moved than a fresh sort
+// costs (each deletion or insertion shifts up to a window of values).
+func slideWindow(recs []untouchedRecord, oldLo, oldHi, lo, hi int) bool {
+	if lo < oldLo || hi < oldHi || lo >= oldHi {
+		return false
+	}
+	if moved := lo - oldLo + hi - oldHi; moved > bits.Len(uint(hi-lo)) {
+		return false
+	}
+	for _, rec := range recs[oldHi:hi] {
+		if !regular(rec.untouched) {
+			return false
+		}
+	}
+	// Delete: shifting the values below a leaving one up a slot drops it
+	// and advances the window's first slot.
+	start := oldLo
+	for i := oldLo; i < lo; i++ {
+		v := recs[i].untouched
+		p := start + sort.Search(oldHi-start, func(k int) bool { return recs[start+k].sorted >= v })
+		for ; p > start; p-- {
+			recs[p].sorted = recs[p-1].sorted
+		}
+		start++
+	}
+	// Insert: each entering record extends the window by its own slot;
+	// the values above the entering one shift down into it.
+	for end := oldHi; end < hi; end++ {
+		v := recs[end].untouched
+		p := start + sort.Search(end-start, func(k int) bool { return recs[start+k].sorted > v })
+		for k := end; k > p; k-- {
+			recs[k].sorted = recs[k-1].sorted
+		}
+		recs[p].sorted = v
+	}
+	return true
+}
+
+// regular reports whether sort.Float64s fixes v's bits in its output.
+// Values that compare equal are bit-identical except NaNs (which sort
+// first, in no fixed order among themselves) and -0 beside +0, so a
+// window holding either is only ever sorted afresh, as the scratch sort
+// always did.
+func regular(v float64) bool {
+	return v == v && !(v == 0 && math.Signbit(v))
+}
+
+// summarize reads the window percentiles off n ascending values.
+func summarize(n int, at func(i int) float64) History {
+	return History{
+		Count: n,
+		P0:    at(0),
+		P25:   stats.QuantileSortedFunc(n, 0.25, at),
+		P50:   stats.QuantileSortedFunc(n, 0.50, at),
+		P75:   stats.QuantileSortedFunc(n, 0.75, at),
+		P100:  at(n - 1),
+	}
 }
 
 // UntouchedQuantiles pools every recorded outcome across customers and

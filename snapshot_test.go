@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -114,10 +115,12 @@ func TestRestoreFleetRejectsCorruptModels(t *testing.T) {
 			}
 			bad := *snap
 			bad.Sim = data
-			if _, err := RestoreFleet(context.Background(), &bad); err == nil {
+			_, err = RestoreFleet(context.Background(), &bad)
+			if err == nil {
 				t.Fatal("restore accepted a corrupt model")
-			} else {
-				t.Log(err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "cell 0") || strings.Count(msg, "mlops:") != 1 {
+				t.Fatalf("error %q should name cell 0 and say mlops: once", msg)
 			}
 		})
 	}
