@@ -212,24 +212,14 @@ func main() {
 			fmt.Printf("streamed metrics to %s\n", f.metricsOut)
 		}
 		reports = append(reports, rep)
-		fmt.Println(rep.Summary)
-		if f.opts.Model.RetrainEverySec > 0 && len(rep.PromotionHistory) > 0 {
-			fmt.Println("model lifecycle:")
-			for _, line := range rep.PromotionHistory {
-				fmt.Printf("  %s\n", line)
-			}
+		fmt.Println(rep.String())
+		lifecycle, rollout, plans := rep.Histories()
+		if f.opts.Model.RetrainEverySec > 0 {
+			printHistory("model lifecycle:", lifecycle)
+			printHistory("staged rollout:", rollout)
 		}
-		if f.opts.Model.RetrainEverySec > 0 && len(rep.RolloutHistory) > 0 {
-			fmt.Println("staged rollout:")
-			for _, line := range rep.RolloutHistory {
-				fmt.Printf("  %s\n", line)
-			}
-		}
-		if f.opts.Capacity.Elastic && len(rep.PlanHistory) > 0 {
-			fmt.Println("capacity plans:")
-			for _, line := range rep.PlanHistory {
-				fmt.Printf("  %s\n", line)
-			}
+		if f.opts.Capacity.Elastic {
+			printHistory("capacity plans:", plans)
 		}
 		if f.printLog {
 			fmt.Print(rep.EventLog)
@@ -387,12 +377,24 @@ func writeCheckpoint(fr *pond.FleetRun, path string) error {
 	return nil
 }
 
+// printHistory prints a titled, indented history; an empty one prints
+// nothing.
+func printHistory(title string, lines []string) {
+	if len(lines) == 0 {
+		return
+	}
+	fmt.Println(title)
+	for _, line := range lines {
+		fmt.Printf("  %s\n", line)
+	}
+}
+
 func printComparison(reports []*pond.FleetReport) {
 	fmt.Printf("  %-10s %9s %9s %12s %12s %12s\n",
 		"topology", "placed", "rejected", "core-util", "stranded-GB", "blast-vms")
 	for _, r := range reports {
 		fmt.Printf("  %-10s %9d %9d %11.1f%% %12.1f %12d\n",
-			r.Topology, r.Placed, r.Rejected, 100*r.AvgCoreUtil, r.AvgStrandedGB, r.BlastVMs)
+			r.Options.Cluster.Topology, r.Placed, r.Rejected, 100*r.AvgCoreUtil, r.AvgStrandedGB, r.BlastVMs)
 	}
 }
 
@@ -407,7 +409,7 @@ type modelDump struct {
 func writeModels(path string, names []string, reports []*pond.FleetReport) error {
 	dumps := make([]modelDump, 0, len(reports))
 	for i, r := range reports {
-		dumps = append(dumps, modelDump{Topology: strings.TrimSpace(names[i]), Cells: r.ModelsJSON})
+		dumps = append(dumps, modelDump{Topology: strings.TrimSpace(names[i]), Cells: r.ModelDumps})
 	}
 	data, err := json.MarshalIndent(dumps, "", "  ")
 	if err != nil {

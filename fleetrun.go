@@ -72,11 +72,7 @@ func (fr *FleetRun) Config() FleetOpts { return fr.opts }
 // assembles the merged report. It is idempotent: later calls return the
 // same report.
 func (fr *FleetRun) Finish(ctx context.Context) (*FleetReport, error) {
-	rep, err := fr.r.Finish(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return newFleetReport(rep), nil
+	return fr.r.Finish(ctx)
 }
 
 // FleetProgress is a point-in-time snapshot of a run's aggregate

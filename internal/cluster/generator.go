@@ -195,7 +195,7 @@ func GenerateCluster(cfg GenConfig, idx int, r *stats.Rand) Trace {
 			m = shockMix
 		}
 		util := baseUtil + rampPerDay*float64(day) + 0.03*seasonality(now)
-		util = stats.Clamp(util, 0.4, 0.97)
+		util = stats.Clamp(util, 0.4, maxClusterUtil)
 		targetConcurrentVMs := util * totalCores / meanCores(m)
 		rate := targetConcurrentVMs / meanLifeSec / meanBurst // bursts per second
 		now += r.Exponential(1 / rate)
@@ -228,6 +228,24 @@ func GenerateCluster(cfg GenConfig, idx int, r *stats.Rand) Trace {
 	}
 	sort.Slice(tr.VMs, func(i, j int) bool { return tr.VMs[i].ArrivalSec < tr.VMs[j].ArrivalSec })
 	return tr
+}
+
+// maxClusterUtil caps the core-allocation target GenerateCluster's
+// arrival loop sizes toward.
+const maxClusterUtil = 0.97
+
+// MaxArrivalRate bounds the mean rate, in VMs per second, at which
+// GenerateCluster draws a cluster's VMs under cfg: the arrival loop
+// sizes the concurrent VM count by Little's law toward at most
+// maxClusterUtil of the cluster's cores, and no VM has fewer cores than
+// the smallest type.
+func (cfg GenConfig) MaxArrivalRate() float64 {
+	minCores := math.MaxInt
+	for _, t := range VMTypes() {
+		minCores = min(minCores, t.Cores)
+	}
+	cores := float64(cfg.ServersPerCluster * cfg.Spec.TotalCores())
+	return maxClusterUtil * cores / float64(minCores) / (cfg.MeanLifetimeHours * 3600)
 }
 
 // mixForRatio builds per-type weights whose core-weighted DRAM:core ratio

@@ -32,6 +32,22 @@ func TestDCDOfferAcceptFlow(t *testing.T) {
 	}
 }
 
+// TestDCDOfferZeroAndNegative: offering no slices queues nothing, and a
+// negative count is refused.
+func TestDCDOfferZeroAndNegative(t *testing.T) {
+	dev := NewDevice("emc0", 8, 4)
+	dcd := NewDCD(dev)
+	if events, err := dcd.Offer(1, 0); err != nil || len(events) != 0 {
+		t.Fatalf("Offer(n=0) = %v, %v; want no events", events, err)
+	}
+	if _, err := dcd.Offer(1, -2); err == nil {
+		t.Fatal("Offer(n=-2) accepted")
+	}
+	if got := dcd.PendingFor(1); len(got) != 0 || dev.FreeSlices() != 8 {
+		t.Fatalf("pending %v, free %d; want none pending and 8 free", got, dev.FreeSlices())
+	}
+}
+
 func TestDCDAcceptUnoffered(t *testing.T) {
 	dcd := NewDCD(NewDevice("emc0", 16, 4))
 	if err := dcd.Accept(1, 3); !errors.Is(err, ErrNotOffered) {

@@ -163,8 +163,11 @@ func (d *Device) Assign(s SliceID, h HostID) error {
 // AssignAny assigns n free slices to host h and appends them to dst,
 // returning the extended slice; a caller that passes a reused buffer
 // allocates nothing. It assigns nothing, and returns dst unchanged, if
-// fewer than n slices are free.
+// n is 0 or fewer than n slices are free; a negative n is an error.
 func (d *Device) AssignAny(dst []SliceID, n int, h HostID) ([]SliceID, error) {
+	if n < 0 {
+		return dst, fmt.Errorf("emc %s: cannot assign %d slices", d.name, n)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.failed {
@@ -175,11 +178,11 @@ func (d *Device) AssignAny(dst []SliceID, n int, h HostID) ([]SliceID, error) {
 	}
 	base := len(dst)
 	for i, o := range d.owner {
+		if len(dst)-base == n {
+			break
+		}
 		if o == Unowned {
 			dst = append(dst, SliceID(i))
-			if len(dst)-base == n {
-				break
-			}
 		}
 	}
 	free := dst[base:]

@@ -126,6 +126,22 @@ func TestAssignAnyAppendsToCallerBuffer(t *testing.T) {
 	}
 }
 
+// TestAssignAnyZeroAndNegative: a request for no slices assigns none,
+// and a negative count is refused without touching the device.
+func TestAssignAnyZeroAndNegative(t *testing.T) {
+	d := NewDevice("zero", 8, 4)
+	buf := []SliceID{99}
+	if got, err := d.AssignAny(buf, 0, 1); err != nil || len(got) != 1 || got[0] != 99 {
+		t.Fatalf("AssignAny(n=0) = %v, %v; want buf unchanged", got, err)
+	}
+	if got, err := d.AssignAny(buf, -1, 1); err == nil || len(got) != 1 {
+		t.Fatalf("AssignAny(n=-1) = %v, %v; want buf unchanged and an error", got, err)
+	}
+	if d.FreeSlices() != 8 {
+		t.Fatalf("free = %d after zero and negative requests, want 8", d.FreeSlices())
+	}
+}
+
 func TestAssignAnyInsufficientIsAtomic(t *testing.T) {
 	d := NewDevice("small", 4, 8)
 	if _, err := d.AssignAny(nil, 3, 0); err != nil {

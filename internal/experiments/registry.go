@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pond/internal/cluster"
@@ -278,14 +277,4 @@ func (r SweepResult) String() string {
 			c.Scale, c.Policy, c.VMs, c.MeanStrandedPct, c.RequiredPct, c.SavingsPct)
 	}
 	return t.String()
-}
-
-// SweepPolicyNames lists the accepted sweep policies.
-func SweepPolicyNames() []string {
-	names := make([]string, 0, len(sweepPolicies))
-	for n := range sweepPolicies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -115,25 +115,47 @@ func synthCustomers(n int, r *stats.Rand) []cluster.Customer {
 
 // MaxArrivalsPerCell bounds a cell's expected arrival count (see
 // expectedArrivals); the busiest scenario in this repository expects
-// about 26 thousand. Larger rate-times-horizon products are
-// configuration typos, and the arrival stream is presized from the
-// estimate, so an unbounded one would try to allocate whatever number
-// the options imply — rejected by normalization, per the parsers'
-// no-runtime-surprise discipline.
+// about 26 thousand. Larger streams — rate times horizon, or a trace's
+// hosts times horizon — are configuration typos, and the Poisson stream
+// is presized from the estimate, so an unbounded one would try to
+// allocate whatever number the options imply — rejected by
+// normalization, per the parsers' no-runtime-surprise discipline.
 const MaxArrivalsPerCell = 1 << 20
 
-// expectedArrivals estimates a cell's Poisson stream length (base
-// process plus surge extras, ~10% headroom) so the arrival slice is
-// allocated once. Only capacity — never content — depends on the
-// estimate.
+// baseArrivalRate bounds the rate a cell's base stream arrives at, and
+// so the rate its surge extras scale from: the Poisson rate, or under
+// trace the generator's bound for the cell's hosts, since a trace never
+// draws at Arrivals.RatePerSec. The cap check sizes every stream from
+// it, and generateArrivals never scales surges from more.
+func baseArrivalRate(o Options) float64 {
+	if o.Arrivals.Process == ArrivalTrace {
+		return traceGenConfig(o).MaxArrivalRate()
+	}
+	return o.Arrivals.RatePerSec
+}
+
+// expectedArrivals estimates a cell's stream length (base process plus
+// surge extras, ~10% headroom) so the Poisson arrival slice is allocated
+// once. Only capacity — never content — depends on the estimate.
 func expectedArrivals(o Options) float64 {
-	n := o.Arrivals.RatePerSec * o.Cluster.DurationSec
+	rate := baseArrivalRate(o)
+	n := rate * o.Cluster.DurationSec
 	for _, inj := range o.Injections {
 		if inj.kind == InjectSurge && inj.factor > 1 {
-			n += o.Arrivals.RatePerSec * (inj.factor - 1) * inj.durSec
+			n += rate * (inj.factor - 1) * inj.durSec
 		}
 	}
 	return n + n/10 + 16
+}
+
+// traceGenConfig sizes the trace generator to one cell: its hosts, and
+// whole days covering the horizon.
+func traceGenConfig(o Options) cluster.GenConfig {
+	gen := cluster.DefaultGenConfig()
+	gen.ServersPerCluster = o.Cluster.Hosts
+	gen.Days = max(int(math.Ceil(o.Cluster.DurationSec/86400)), 1)
+	gen.Spec = cluster.ServerSpec{Sockets: 2, CoresPerSock: coresPerSocket, MemGBPerSock: memGBPerSocket}
+	return gen
 }
 
 // catalogueCache avoids re-copying the 158-workload catalogue on every
@@ -274,28 +296,21 @@ func generateArrivals(o Options, cell int, seed int64) []cluster.VMRequest {
 	var customers []cluster.Customer
 	var driftTimes []float64
 	var epochs [][]cluster.Customer
-	baseRate := o.Arrivals.RatePerSec
+	baseRate := baseArrivalRate(o)
 	isTrace := o.Arrivals.Process == ArrivalTrace
 
 	switch o.Arrivals.Process {
 	case ArrivalTrace:
-		gen := cluster.DefaultGenConfig()
-		gen.ServersPerCluster = o.Cluster.Hosts
-		gen.Days = int(math.Ceil(o.Cluster.DurationSec / 86400))
-		if gen.Days < 1 {
-			gen.Days = 1
-		}
-		gen.Spec = cluster.ServerSpec{Sockets: 2, CoresPerSock: coresPerSocket, MemGBPerSock: memGBPerSocket}
-		tr := cluster.GenerateCluster(gen, cell, r.Fork(1))
+		tr := cluster.GenerateCluster(traceGenConfig(o), cell, r.Fork(1))
 		customers = tr.Customers
 		for _, vm := range tr.VMs {
 			if vm.ArrivalSec < o.Cluster.DurationSec {
 				vms = append(vms, vm)
 			}
 		}
-		if n := len(vms); n > 0 {
-			baseRate = float64(n) / o.Cluster.DurationSec
-		}
+		// Surges scale from the trace's own rate, capped at the bound
+		// the cap check sized them from; an empty trace draws none.
+		baseRate = min(baseRate, float64(len(vms))/o.Cluster.DurationSec)
 		epochs = [][]cluster.Customer{customers}
 	default: // poisson
 		rArr := r.Fork(1)

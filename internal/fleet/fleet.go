@@ -131,47 +131,77 @@ type CellResult struct {
 	Series         []MetricsRow
 	MetricsDropped int
 
-	// Log is the cell's event log — the full stream, or only its
-	// undrained tail when the Runner ran with drained-prefix compaction.
-	Log string
 	// LogSHA is the hex SHA-256 of the cell's complete event-log stream,
-	// compacted prefix included. Compacted counts the lines that were
-	// folded into the digest and released (0 without compaction).
+	// compacted prefix included; the stream's lines live in the report's
+	// EventLog. Compacted counts the lines that were folded into the
+	// digest and released (0 without compaction).
 	LogSHA    string
 	Compacted int
 }
 
-// Report is the merged outcome of a fleet run.
+// Report is the merged outcome of a fleet run; pond.FleetReport is
+// this type. It holds the event log once, in EventLog: the per-cell
+// results carry each stream's hash, not a second copy of its lines.
 type Report struct {
-	Options      Options
+	// Options echoes the normalized options that ran: the topology
+	// (Options.Cluster.Topology), the retraining scope
+	// (Options.Model.Scope), and every injection.
+	Options Options
+	// TopologyDesc is the topology's one-line description with its
+	// blast-radius summary.
 	TopologyDesc string
-	Cells        []CellResult
+	// Cells holds each cell's outcome in cell order.
+	Cells []CellResult
 
+	// Arrivals, Placed, Rejected, and Departed count VM lifecycle
+	// events aggregated across cells: VMs that arrived, were admitted,
+	// were turned away with no fitting host, and completed.
 	Arrivals, Placed, Rejected, Departed int
-	BlastVMs, Migrated                   int
-	QoSViolations, Mitigations           int
-	AvgCoreUtil                          float64
-	AvgStrandedGB                        float64
-	PeakPoolUsedGB                       float64
-	PoolShare                            float64
+	// BlastVMs is the number of VMs lost to injected EMC failures;
+	// Migrated counts VMs moved off draining hosts.
+	BlastVMs, Migrated int
+	// QoSViolations counts departed VMs whose realized slowdown exceeded
+	// the PDM; Mitigations those the QoS monitor reconfigured.
+	QoSViolations, Mitigations int
+	// AvgCoreUtil is the time-weighted scheduled-core fraction (cell
+	// mean).
+	AvgCoreUtil float64
+	// AvgStrandedGB is the time-weighted stranded memory (§2, cell
+	// mean).
+	AvgStrandedGB float64
+	// PeakPoolUsedGB is the highest pool usage any cell reached — the
+	// demand signal capacity planning sizes against.
+	PeakPoolUsedGB float64
+	// PoolShare is the GB-weighted share of placed memory on pool DRAM
+	// (cell mean).
+	PoolShare float64
 
-	// Capacity loop, aggregated across cells: FinalPoolGB sums the
-	// cells' end-of-run pools, DRAMSavedGB their time-averaged savings
-	// versus static provisioning, Fallbacks the pool-exhaustion
-	// downgrades; PlanHistory is every planning decision in cell order.
+	// Capacity loop (meaningful when Capacity.Elastic or a resize
+	// injection ran). FinalPoolGB sums the cells' active pool capacity at
+	// run end; DRAMSavedGB is the fleet's time-averaged capacity below
+	// static provisioning — the Pond §7 savings metric, negative if the
+	// pool grew past the static size; Fallbacks counts pool-exhaustion
+	// downgrades to all-local placements.
 	FinalPoolGB int
 	DRAMSavedGB float64
 	Fallbacks   int
+	// PlanHistory is every planning-barrier decision in cell order;
+	// Histories renders it one line each. Byte-identical for any worker
+	// count.
 	PlanHistory []capacity.PlanEvent
 
-	// Model lifecycle, aggregated across cells (zero unless retraining
-	// ran). Under fleet scope the counters describe the release train:
-	// retrains, fleet-wide promotions, canary rollbacks, demotions.
+	// Model lifecycle (populated when predictions run; the counters stay
+	// zero unless retraining was enabled). Under fleet scope they
+	// describe the release train: retrains, fleet-wide promotions,
+	// demotions — and Rollbacks counts challengers the canary bake
+	// stopped from ever reaching a non-canary cell.
 	Retrains, Promotions, Demotions int
 	Rollbacks                       int
-	// PredErrMean / PredErrFinal are cell means of the serving
-	// untouched-memory model's asymmetric loss (whole run / final
-	// window); InsensErrMean likewise for the insensitivity score.
+	// PredErrMean is the serving untouched-memory model's mean
+	// asymmetric prediction loss over all completed VMs; PredErrFinal
+	// the same over the final rolling window — the end-of-run prediction
+	// error. InsensErrMean mirrors it for the insensitivity score. All
+	// three are cell means.
 	PredErrMean, PredErrFinal float64
 	InsensErrMean             float64
 	// Lifecycle is every cell's retrain/promote/demote history in cell
@@ -181,26 +211,47 @@ type Report struct {
 	// (fleet scope): retrain, canary-start, hold, promote, rollback,
 	// demote — deterministic and byte-identical for any worker count.
 	Rollout []fleetpipeline.Event
-	// ChampionVer is the fleet champion release at run end (fleet scope).
+	// ChampionVer is the fleet champion release version at run end
+	// (fleet scope).
 	ChampionVer int
-	// ModelDumps is one versioned-model snapshot document per cell
-	// (Model.Capture; a single release-train document under fleet
-	// scope).
+	// ModelDumps is the versioned model dump when Model.Capture was set:
+	// one JSON document per cell under cell scope, a single release-train
+	// document under fleet scope.
 	ModelDumps []json.RawMessage
 
-	// EventLog is the concatenation of all cell logs in cell order,
-	// followed by the fleet pipeline's barrier log under fleet scope.
-	// Under drained-prefix compaction it carries only the retained tails;
-	// Events always counts the full run's log lines.
+	// EventLog is the full deterministic event log: the concatenation of
+	// all cell logs in cell order, followed by the fleet pipeline's
+	// barrier log under fleet scope. Under drained-prefix compaction it
+	// carries only the retained tails; Events always counts the full
+	// run's log lines.
 	EventLog string
 	Events   int
-	// LogSHA256 is the determinism witness: the SHA-256 of the stream
-	// manifest — one hex SHA-256 line per cell stream in cell order, then
-	// one for the fleet stream (always present, even when empty). Hashing
-	// per stream is what lets drained prefixes be folded into running
-	// digests and released without changing the final hash; recompute it
-	// from a full log with EventLogSHA256.
+	// LogSHA256 is the determinism witness, identical for every worker
+	// count: the SHA-256 of the stream manifest — one hex SHA-256 line
+	// per cell stream in cell order, then one for the fleet stream
+	// (always present, even when empty). Hashing per stream is what lets
+	// drained prefixes be folded into running digests and released
+	// without changing the final hash; recompute it from a full log with
+	// EventLogSHA256.
 	LogSHA256 string
+}
+
+// Histories renders the report's decision histories one line each,
+// every line prefixed with where and when the decision happened: the
+// cell lifecycle and the planning barriers as "[c<cell> t=<sec>] ", the
+// release train as "[fleet t=<sec>] ". These are the lines pondfleet
+// prints and pondserve serves.
+func (r *Report) Histories() (lifecycle, rollout, plans []string) {
+	for _, e := range r.Lifecycle {
+		lifecycle = append(lifecycle, fmt.Sprintf("[c%d t=%.3f] %s", e.Cell, e.AtSec, e))
+	}
+	for _, e := range r.Rollout {
+		rollout = append(rollout, fmt.Sprintf("[fleet t=%.3f] %s", e.AtSec, e))
+	}
+	for _, e := range r.PlanHistory {
+		plans = append(plans, fmt.Sprintf("[c%d t=%.3f] %s", e.Cell, e.AtSec, e))
+	}
+	return lifecycle, rollout, plans
 }
 
 // String renders a one-screen summary.
@@ -261,21 +312,21 @@ func trainInsens(o Options) (predict.Insensitivity, float64) {
 
 // assembleReport merges the per-cell results — and the fleet pipeline's
 // log and release-train counters, when one ran — into the final report,
-// concatenates the (retained) event log in cell order, and hashes the
+// concatenates the (retained) cell logs in cell order, and hashes the
 // stream manifest. fleetSHA is the fleet stream's precomputed hex hash
 // when the Runner compacted it ("" means hash fleetLog here), and
 // fleetCompacted its folded-away line count.
-func assembleReport(o Options, results []CellResult, fleetLog, fleetSHA string, fleetCompacted int, fp *fleetpipeline.Manager) (*Report, error) {
+func assembleReport(o Options, results []CellResult, cellLogs []string, fleetLog, fleetSHA string, fleetCompacted int, fp *fleetpipeline.Manager) (*Report, error) {
 	rep := &Report{Options: o, Cells: results}
 	tp, _ := topo.Build(o.Cluster.Topology, o.Cluster.Hosts, o.Cluster.EMCs, o.Cluster.PodDegree)
 	rep.TopologyDesc = tp.Describe()
 	var log strings.Builder
-	logLen := 0
-	for _, c := range results {
-		logLen += len(c.Log)
+	logLen := len(fleetLog)
+	for _, l := range cellLogs {
+		logLen += len(l)
 	}
-	log.Grow(logLen + len(fleetLog))
-	for _, c := range results {
+	log.Grow(logLen)
+	for i, c := range results {
 		rep.Arrivals += c.Arrivals
 		rep.Placed += c.Placed
 		rep.Rejected += c.Rejected
@@ -304,7 +355,7 @@ func assembleReport(o Options, results []CellResult, fleetLog, fleetSHA string, 
 		if c.ModelDump != nil {
 			rep.ModelDumps = append(rep.ModelDumps, c.ModelDump)
 		}
-		log.WriteString(c.Log)
+		log.WriteString(cellLogs[i])
 	}
 	if fp != nil {
 		counts := fp.Counts()
@@ -329,15 +380,10 @@ func assembleReport(o Options, results []CellResult, fleetLog, fleetSHA string, 
 		rep.Events += c.Compacted
 	}
 	// The manifest hashes each stream separately: one line per cell in
-	// cell order, then the fleet stream. Results without a stream hash
-	// (synthetic test results) fall back to hashing their full log here.
+	// cell order, then the fleet stream.
 	var manifest strings.Builder
 	for _, c := range results {
-		sha := c.LogSHA
-		if sha == "" {
-			sha = streamSHA256(c.Log)
-		}
-		manifest.WriteString(sha)
+		manifest.WriteString(c.LogSHA)
 		manifest.WriteByte('\n')
 	}
 	if fleetSHA == "" {
@@ -1263,8 +1309,9 @@ func (c *cellSim) runUntil(tEnd float64, final bool) error {
 }
 
 // finish integrates the tail accounting, renders the summary lines, and
-// returns the cell's result.
-func (c *cellSim) finish() (CellResult, error) {
+// returns the cell's result with its retained event log: the full
+// stream, or only the undrained tail under drained-prefix compaction.
+func (c *cellSim) finish() (CellResult, string, error) {
 	o := c.o
 	c.account(o.Cluster.DurationSec)
 
@@ -1285,7 +1332,7 @@ func (c *cellSim) finish() (CellResult, error) {
 		if o.Model.Capture {
 			dump, derr := c.mgr.SnapshotJSON()
 			if derr != nil {
-				return c.res, fmt.Errorf("cell %d: model snapshot: %w", c.cell, derr)
+				return c.res, "", fmt.Errorf("cell %d: model snapshot: %w", c.cell, derr)
 			}
 			c.res.ModelDump = dump
 		}
@@ -1321,17 +1368,17 @@ func (c *cellSim) finish() (CellResult, error) {
 	c.logf(o.Cluster.DurationSec, "summary arrivals=%d placed=%d rejected=%d departed=%d blast-vms=%d migrated=%d qos=%d util=%.3f stranded=%.3f pool-share=%.4f",
 		c.res.Arrivals, c.res.Placed, c.res.Rejected, c.res.Departed, c.res.BlastVMs, c.res.Migrated,
 		c.res.QoSViolations, c.res.AvgCoreUtil, c.res.AvgStrandedGB, c.res.PoolShare)
-	c.res.Log = c.log.String()
+	log := c.log.String()
 	if c.logDigest != nil {
 		// Complete the stream hash from the midstate; the prefix bytes it
-		// absorbed are gone, so res.Log is just the tail.
-		io.WriteString(c.logDigest, c.res.Log)
+		// absorbed are gone, so log is just the tail.
+		io.WriteString(c.logDigest, log)
 		c.res.LogSHA = hex.EncodeToString(c.logDigest.Sum(nil))
 	} else {
-		c.res.LogSHA = streamSHA256(c.res.Log)
+		c.res.LogSHA = streamSHA256(log)
 	}
 	c.res.Compacted = c.compacted
-	return c.res, nil
+	return c.res, log, nil
 }
 
 // hostSlices returns a VM's pool slices on its host (nil when unknown).

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"pond/internal/capacity"
+	"pond/internal/mlops"
 	"pond/internal/mlops/fleetpipeline"
 )
 
@@ -137,6 +139,69 @@ func TestTraceArrivals(t *testing.T) {
 	}
 	if rep.Placed == 0 {
 		t.Fatal("trace arrivals placed no VMs")
+	}
+}
+
+// TestTraceArrivalCapSizedFromTheTrace: a trace never draws at
+// Arrivals.RatePerSec, so a large Poisson rate left in a trace config
+// must not trip the per-cell arrival cap, while surge extras that
+// overflow it still must. The trace estimate bounds the streams the
+// generator really produces.
+func TestTraceArrivalCapSizedFromTheTrace(t *testing.T) {
+	o := Options{
+		Cluster:  ClusterOpts{Cells: 1, DurationSec: 2000},
+		Arrivals: ArrivalOpts{Process: ArrivalTrace, RatePerSec: 1000},
+	}
+	if err := o.Validate(); err != nil {
+		t.Fatalf("trace config refused for its unused Poisson rate: %v", err)
+	}
+	var err error
+	if o.Injections, err = ParseInjections("surge@t=200:dur=100:x=1e300"); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("trace surge past the arrival cap: err = %v, want the cap named", err)
+	}
+	// A short horizon often ends before the trace's first burst. Such a
+	// cell's surge has no trace rate to scale from and must draw nothing,
+	// never fall back to the unused Poisson rate.
+	if o.Injections, err = ParseInjections("surge@t=0:dur=2000:x=2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Validate(); err != nil {
+		t.Fatalf("trace surge refused for the unused Poisson rate: %v", err)
+	}
+	if o, err = normalize(o); err != nil {
+		t.Fatal(err)
+	}
+	bare := o
+	bare.Injections = nil
+	seed := int64(1)
+	for ; len(generateArrivals(bare, 0, seed)) > 0; seed++ {
+		if seed == 20 {
+			t.Fatal("no seed left the 2000 s trace empty; the case above checks nothing")
+		}
+	}
+	if n := len(generateArrivals(o, 0, seed)); n != 0 {
+		t.Errorf("seed %d: empty trace drew %d surge VMs, estimate %.0f", seed, n, expectedArrivals(o))
+	}
+	for _, hosts := range []int{4, 16} {
+		o := testOptions()
+		o.Arrivals = ArrivalOpts{Process: ArrivalTrace}
+		o.Cluster.Hosts = hosts
+		o.Cluster.DurationSec = 3 * 86400
+		if o.Injections, err = ParseInjections("surge@t=1000:dur=20000:x=3"); err != nil {
+			t.Fatal(err)
+		}
+		if o, err = normalize(o); err != nil {
+			t.Fatal(err)
+		}
+		for cell := 0; cell < o.Cluster.Cells; cell++ {
+			n := len(generateArrivals(o, cell, int64(7+cell)))
+			if n == 0 || float64(n) > expectedArrivals(o) {
+				t.Errorf("%d hosts, cell %d: trace stream of %d VMs, estimate %.0f", hosts, cell, n, expectedArrivals(o))
+			}
+		}
 	}
 }
 
@@ -749,6 +814,53 @@ func TestFleetScopeValidation(t *testing.T) {
 	}
 }
 
+func TestReportHistoriesPrefixEachLine(t *testing.T) {
+	lc := mlops.Event{Cell: 1, AtSec: 1000, Family: "um", Kind: "retrain", Ver: 1, Rows: 65}
+	ro := fleetpipeline.Event{AtSec: 2000.5, Kind: "promote", Ver: 2}
+	pl := capacity.PlanEvent{Cell: 2, AtSec: 300, PoolGB: 512, TargetGB: 20, NewPoolGB: 20, ShrunkGB: 492}
+	rep := &Report{Lifecycle: []mlops.Event{lc}, Rollout: []fleetpipeline.Event{ro}, PlanHistory: []capacity.PlanEvent{pl}}
+	lifecycle, rollout, plans := rep.Histories()
+	for _, tc := range []struct {
+		got  []string
+		want string
+	}{
+		{lifecycle, "[c1 t=1000.000] " + lc.String()},
+		{rollout, "[fleet t=2000.500] " + ro.String()},
+		{plans, "[c2 t=300.000] " + pl.String()},
+	} {
+		if len(tc.got) != 1 || tc.got[0] != tc.want {
+			t.Errorf("history %q, want [%q]", tc.got, tc.want)
+		}
+	}
+	if l, r, p := (&Report{}).Histories(); len(l)+len(r)+len(p) != 0 {
+		t.Errorf("empty report rendered histories %q %q %q", l, r, p)
+	}
+}
+
+// cellStreams splits a report's EventLog back into its per-cell streams
+// on the "[c<N> " line prefix, and checks each against the cell's own
+// stream hash, so a comparison of streams never passes on blank ones.
+func cellStreams(t *testing.T, rep *Report) []string {
+	t.Helper()
+	streams := make([]strings.Builder, len(rep.Cells))
+	for _, line := range strings.SplitAfter(rep.EventLog, "\n") {
+		if !strings.HasPrefix(line, "[c") {
+			continue
+		}
+		if cell, ok := parseCellPrefix(line[2:]); ok {
+			streams[cell].WriteString(line)
+		}
+	}
+	out := make([]string, len(streams))
+	for i := range streams {
+		out[i] = streams[i].String()
+		if out[i] == "" || streamSHA256(out[i]) != rep.Cells[i].LogSHA {
+			t.Fatalf("cell %d: %d-byte stream split from EventLog does not hash to the cell's LogSHA", i, len(out[i]))
+		}
+	}
+	return out
+}
+
 func TestRegionalDriftOnlyShiftsTargetCells(t *testing.T) {
 	// A drift hitting cells 1-2 must change those cells' streams and
 	// leave cells 0's arrivals untouched. Predictions are on so the
@@ -784,10 +896,11 @@ func TestRegionalDriftOnlyShiftsTargetCells(t *testing.T) {
 		}
 		return strings.Join(keep, "\n")
 	}
-	if strip(base.Cells[0].Log) != strip(drifted.Cells[0].Log) {
+	baseCells, driftedCells := cellStreams(t, base), cellStreams(t, drifted)
+	if strip(baseCells[0]) != strip(driftedCells[0]) {
 		t.Fatal("regional drift changed an out-of-range cell's stream")
 	}
-	if strip(base.Cells[1].Log) == strip(drifted.Cells[1].Log) {
+	if strip(baseCells[1]) == strip(driftedCells[1]) {
 		t.Fatal("regional drift did not change an in-range cell's stream")
 	}
 	// Beyond-range validation.

@@ -91,7 +91,7 @@ type ModelOpts struct {
 	// trained (0 = the mlops default).
 	MinTrainRows int `json:"min_train_rows,omitempty"`
 	// Capture includes each cell's versioned model snapshots in the
-	// report (see FleetReport.ModelsJSON).
+	// report (see Report.ModelDumps).
 	Capture bool `json:"capture,omitempty"`
 }
 
@@ -316,8 +316,8 @@ func normalize(o Options) (Options, error) {
 // added mid-run meets the same cap as one scheduled from the start.
 func checkArrivalCap(o Options) error {
 	if n := expectedArrivals(o); !(n <= MaxArrivalsPerCell) { // rejects NaN too
-		return fmt.Errorf("fleet: arrival rate %g/s over the %gs horizon expects %.3g arrivals per cell, above the %d cap",
-			o.Arrivals.RatePerSec, o.Cluster.DurationSec, n, MaxArrivalsPerCell)
+		return fmt.Errorf("fleet: %s arrival rate %g/s over the %gs horizon expects %.3g arrivals per cell, above the %d cap",
+			o.Arrivals.Process, baseArrivalRate(o), o.Cluster.DurationSec, n, MaxArrivalsPerCell)
 	}
 	return nil
 }

@@ -302,12 +302,12 @@ func (r *Runner) Finish(ctx context.Context) (*Report, error) {
 	}
 	defer r.timePhase("finish", r.o.Cluster.DurationSec, t0)
 	results := make([]CellResult, len(r.sims))
+	logs := make([]string, len(r.sims))
 	for i, s := range r.sims {
-		res, err := s.finish()
-		if err != nil {
+		var err error
+		if results[i], logs[i], err = s.finish(); err != nil {
 			return nil, err
 		}
-		results[i] = res
 	}
 	if r.fleetScoped {
 		fmt.Fprintf(&r.fleetLog, "[fleet t=%.3f] fleetpipeline summary retrains=%d promotions=%d rollbacks=%d demotions=%d holds=%d champion-ver=%d\n",
@@ -323,7 +323,7 @@ func (r *Runner) Finish(ctx context.Context) (*Report, error) {
 		io.WriteString(r.fleetDigest, fleetTail)
 		fleetSHA = hex.EncodeToString(r.fleetDigest.Sum(nil))
 	}
-	rep, err := assembleReport(r.o, results, fleetTail, fleetSHA, r.fleetCompacted, r.fp)
+	rep, err := assembleReport(r.o, results, logs, fleetTail, fleetSHA, r.fleetCompacted, r.fp)
 	if err != nil {
 		return nil, err
 	}

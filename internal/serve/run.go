@@ -329,12 +329,13 @@ func (r *Run) Snapshot() Snapshot {
 
 // snapshotReport extracts the served subset from a full report.
 func snapshotReport(rep *pond.FleetReport) *SnapshotReport {
+	lifecycle, rollout, plans := rep.Histories()
 	return &SnapshotReport{
-		Summary:          rep.Summary,
+		Summary:          rep.String(),
 		LogSHA256:        rep.LogSHA256,
-		PlanHistory:      rep.PlanHistory,
-		RolloutHistory:   rep.RolloutHistory,
-		PromotionHistory: rep.PromotionHistory,
+		PlanHistory:      plans,
+		RolloutHistory:   rollout,
+		PromotionHistory: lifecycle,
 		ChampionVer:      rep.ChampionVer,
 		Retrains:         rep.Retrains,
 		Promotions:       rep.Promotions,

@@ -118,9 +118,6 @@ func buildEvents(vms []cluster.VMRequest) []event {
 	return events
 }
 
-// PlacedVMs returns the number of VMs that received a placement.
-func (s Schedule) PlacedVMs() int { return len(s.Placement) - s.RejectedN }
-
 // RejectionRate returns the fraction of VMs the packing dropped.
 func (s Schedule) RejectionRate() float64 {
 	if len(s.Placement) == 0 {

@@ -98,9 +98,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Min returns the minimum of xs. It panics on an empty slice.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -288,9 +285,6 @@ func (w *Welford) Variance() float64 {
 	}
 	return w.m2 / float64(w.n)
 }
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Pearson returns the linear correlation coefficient of xs and ys, or 0
 // when either side is constant. It panics on length mismatch.

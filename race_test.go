@@ -271,7 +271,7 @@ func TestRunFleetDeterministicPublicAPI(t *testing.T) {
 		t.Fatal("RunFleet event log differs between workers=1 and workers=8")
 	}
 	if ra.LogSHA256 == "" || ra.Placed == 0 {
-		t.Fatalf("degenerate report: %+v", ra.Summary)
+		t.Fatalf("degenerate report: %s", ra)
 	}
 	if _, err := ParseInjections("bogus@t=1"); err == nil {
 		t.Fatal("bad injection spec accepted")
@@ -307,15 +307,15 @@ func TestRunFleetRetrainPublicAPI(t *testing.T) {
 	if ra.EventLog != rb.EventLog || ra.LogSHA256 != rb.LogSHA256 {
 		t.Fatal("retrain-enabled event log differs between workers=1 and workers=8")
 	}
-	if ra.Retrains == 0 || len(ra.PromotionHistory) == 0 {
+	if ra.Retrains == 0 || len(ra.Lifecycle) == 0 {
 		t.Fatalf("lifecycle missing from public report: retrains=%d history=%d",
-			ra.Retrains, len(ra.PromotionHistory))
+			ra.Retrains, len(ra.Lifecycle))
 	}
 	if !strings.Contains(ra.EventLog, "mlops um retrain") {
 		t.Fatal("retrain events missing from the public event log")
 	}
-	if len(ra.ModelsJSON) != base.Cluster.Cells {
-		t.Fatalf("model dumps = %d, want one per cell", len(ra.ModelsJSON))
+	if len(ra.ModelDumps) != base.Cluster.Cells {
+		t.Fatalf("model dumps = %d, want one per cell", len(ra.ModelDumps))
 	}
 	if ra.PredErrMean <= 0 {
 		t.Fatalf("prediction error not surfaced: %+v", ra.PredErrMean)
@@ -362,8 +362,8 @@ func TestRunFleetElasticPublicAPI(t *testing.T) {
 	if !strings.Contains(ra.EventLog, "inject resize emc=1") {
 		t.Fatal("resize injection missing from the public event log")
 	}
-	if !strings.Contains(ra.Summary, "elastic:") {
-		t.Fatalf("summary missing the elastic line:\n%s", ra.Summary)
+	if !strings.Contains(ra.String(), "elastic:") {
+		t.Fatalf("summary missing the elastic line:\n%s", ra)
 	}
 	// Elastic knobs without the elastic pool are rejected.
 	if _, err := RunFleet(context.Background(), FleetOpts{Capacity: CapacityOpts{PlanEverySec: 100}}); err == nil {
