@@ -1299,7 +1299,7 @@ func (c *cellSim) runUntil(tEnd float64, final bool) error {
 	c.sampleMetricsUpTo(tEnd, final)
 	if final {
 		// The horizon slice consumed every arrival, and nothing reads the
-		// stream afterwards: AddInjection refuses a done run, finish and
+		// stream afterwards: Inject refuses a done run, finish and
 		// Progress read res.Arrivals, and a restore regenerates the stream
 		// from its fork seed. Release it instead of holding it until
 		// Finish.

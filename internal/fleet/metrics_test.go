@@ -176,7 +176,7 @@ func TestMetricsSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := RestoreRunner(ctx, o, snap)
+	restored, err := RestoreRunner(ctx, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

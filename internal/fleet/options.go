@@ -167,9 +167,11 @@ func DefaultOptions() Options {
 }
 
 // Validate runs the full normalization — the same checks Run, NewRunner
-// and RestoreRunner apply — without running anything. CLI flag parsing
-// and pondserve both validate through here, so an error reads
-// identically no matter which entry point produced it.
+// and RestoreRunner apply — without running anything. pondserve
+// validates request bodies through here. pondfleet's flag validation
+// first re-checks most of the same fields itself, so its messages name
+// the flag; what it leaves out, such as an injection's target or the
+// arrival cap, fails in this normalization when the run starts.
 func (o Options) Validate() error {
 	_, err := normalize(o)
 	return err

@@ -18,20 +18,21 @@ import (
 )
 
 // Runner is the one execution path of the fleet simulation, advanced
-// one bounded time slice at a time under caller control. Every return
-// from Advance is a safe point — all cells sit at the same simulated
-// time with no event mid-flight — where the caller may drain the event
-// log, snapshot progress, or add an injection before resuming. Batch
-// runs (Run), pondserve's live runs, and restored snapshots all drive a
-// Runner, so there is a single implementation of the cell loop and the
-// barrier schedule.
+// one bounded time slice at a time under caller control; pond.FleetRun
+// is this type. Every return from Advance is a safe point — all cells
+// sit at the same simulated time with no event mid-flight — where the
+// caller may drain the event log, read progress, snapshot, or add an
+// injection before resuming. Batch runs (Run), pondserve's live runs,
+// and restored snapshots all drive a Runner, so there is a single
+// implementation of the cell loop and the barrier schedule.
 //
 // Determinism contract: a run advanced through any sequence of Advance
 // slices, with any live injections added along the way, produces an
 // event log byte-identical to a one-shot batch Run whose injection list
-// carries the live injections appended in the order they were added.
-// The banded event sequence numbers (see fleet.go) and the
-// regenerate-from-seed arrival machinery are what make that hold.
+// carries the live injections appended in the order they were added —
+// which is what Config returns. The banded event sequence numbers (see
+// fleet.go) and the regenerate-from-seed arrival machinery are what make
+// that hold.
 //
 // A Runner is not safe for concurrent use; callers serialize access.
 type Runner struct {
@@ -142,10 +143,11 @@ func (r *Runner) Now() float64 { return r.now }
 // accepts no further injections; Finish returns its report.
 func (r *Runner) Done() bool { return r.done }
 
-// Options returns the normalized configuration, with every live
-// injection appended — the exact batch options that reproduce this
-// run's event log from scratch.
-func (r *Runner) Options() Options { return r.o }
+// Config returns the run's one copy of its options: normalized, every
+// default filled in, with each live injection appended in the order it
+// was added — the exact batch options that reproduce this run's event
+// log from scratch, and the options a Snapshot carries.
+func (r *Runner) Config() Options { return r.o }
 
 // Advance runs every cell forward to simulated time t (clamped to the
 // horizon), processing retrain and planning barriers crossed on the
@@ -161,7 +163,7 @@ func (r *Runner) Advance(ctx context.Context, t float64) error {
 	if t < r.now {
 		// Clamp: time is monotonic. Advancing to the past is a no-op, not
 		// a rewind of the reported clock (which would also corrupt the
-		// AddInjection not-in-the-past validation).
+		// Inject not-in-the-past validation).
 		t = r.now
 	}
 	if t > r.o.Cluster.DurationSec {
@@ -250,7 +252,7 @@ func (r *Runner) processBarrier(b barrier) error {
 	return nil
 }
 
-// AddInjection schedules an injection into the paused run. It must fire
+// Inject schedules an injection into the paused run. It must fire
 // at or after the current simulated time and passes the same
 // ValidateInjection rules and per-cell arrival cap as a batch-scheduled
 // one; a refused injection leaves the run untouched. The injection lands
@@ -259,7 +261,7 @@ func (r *Runner) processBarrier(b barrier) error {
 // regenerate the affected arrival streams from their stored fork seeds
 // — which together keep the remaining event log byte-identical to that
 // batch run's.
-func (r *Runner) AddInjection(in Injection) error {
+func (r *Runner) Inject(in Injection) error {
 	if r.done {
 		return fmt.Errorf("fleet: injection %s refused: run completed at t=%gs", in, r.now)
 	}

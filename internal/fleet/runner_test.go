@@ -24,7 +24,7 @@ func runnerLog(t *testing.T, o Options, pauses []float64, live []Injection) *Rep
 		}
 		events = append(events, r.DrainEvents()...)
 		if i < len(live) {
-			if err := r.AddInjection(live[i]); err != nil {
+			if err := r.Inject(live[i]); err != nil {
 				t.Fatalf("live inject %s at t=%g: %v", live[i], at, err)
 			}
 		}
@@ -187,15 +187,15 @@ func TestRunnerAddInjectionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	past := Injection{kind: InjectEMCFail, atSec: 100}
-	if err := r.AddInjection(past); err == nil || !strings.Contains(err.Error(), "before the current time") {
+	if err := r.Inject(past); err == nil || !strings.Contains(err.Error(), "before the current time") {
 		t.Fatalf("past injection accepted: %v", err)
 	}
 	bad := Injection{kind: InjectEMCFail, atSec: 300, emc: 99}
-	if err := r.AddInjection(bad); err == nil || !strings.Contains(err.Error(), "targets EMC") {
+	if err := r.Inject(bad); err == nil || !strings.Contains(err.Error(), "targets EMC") {
 		t.Fatalf("out-of-range EMC accepted: %v", err)
 	}
 	beyond := Injection{kind: InjectEMCFail, atSec: o.Cluster.DurationSec + 1}
-	if err := r.AddInjection(beyond); err == nil || !strings.Contains(err.Error(), "horizon") {
+	if err := r.Inject(beyond); err == nil || !strings.Contains(err.Error(), "horizon") {
 		t.Fatalf("beyond-horizon injection accepted: %v", err)
 	}
 	if _, err := r.Finish(ctx); err != nil {
@@ -205,7 +205,7 @@ func TestRunnerAddInjectionValidation(t *testing.T) {
 		t.Fatal("finished runner not done")
 	}
 	after := Injection{kind: InjectEMCFail, atSec: 395}
-	if err := r.AddInjection(after); err == nil || !strings.Contains(err.Error(), "completed") {
+	if err := r.Inject(after); err == nil || !strings.Contains(err.Error(), "completed") {
 		t.Fatalf("post-completion injection accepted: %v", err)
 	}
 }
@@ -238,10 +238,10 @@ func TestRunnerAddInjectionArrivalCap(t *testing.T) {
 		if err := r.Advance(ctx, 100); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.AddInjection(in); err == nil || !strings.Contains(err.Error(), "cap") {
+		if err := r.Inject(in); err == nil || !strings.Contains(err.Error(), "cap") {
 			t.Fatalf("%s: live injection not refused by the arrival cap: %v", spec, err)
 		}
-		if n := len(r.Options().Injections); n != 0 {
+		if n := len(r.Config().Injections); n != 0 {
 			t.Fatalf("%s: refused injection recorded (%d injections)", spec, n)
 		}
 		rep, err := r.Finish(ctx)

@@ -6,6 +6,7 @@ import (
 	"encoding"
 	"fmt"
 	"hash"
+	"slices"
 	"sort"
 	"strings"
 
@@ -22,27 +23,38 @@ import (
 	"pond/internal/telemetry"
 )
 
-// SnapshotVersion is the wire version of Snapshot. Bump it on any
-// incompatible change; RestoreRunner refuses other versions.
+// SnapshotVersion is the wire version of Snapshot and of the SimState
+// inside it; both carry it, and RestoreRunner refuses any other value in
+// either. Bump it on any incompatible change.
 const SnapshotVersion = 1
 
-// Snapshot is the complete serializable state of a Runner paused at a
-// safe point. Restoring it in a fresh process yields a Runner whose
+// Snapshot is the serialized state of a Runner paused at a safe point
+// (pond.FleetSnapshot is this type): the run's options plus its
+// simulator state. Restoring it in a fresh process yields a Runner whose
 // remaining event log — and final report hash — are byte-identical to
 // the uninterrupted run, for any worker count, at a cost independent of
 // how much simulated time had already elapsed: nothing is re-simulated.
-//
-// The capture rule: dynamic state that affects future events or the
-// final report is carried (RNG vectors, the event heap verbatim,
-// occupancy, accumulated telemetry and models, accounting integrals,
-// log digests); anything derivable from the run's Options is rebuilt
-// (topology, arrival streams from their fork seeds, the trained
-// bootstrap insensitivity model), and pure caches (serving-score memos,
-// scratch freelists) restore empty — a miss recomputes the identical
-// value. The Options themselves are not part of the snapshot: the
-// caller stores them once, next to it (pond.FleetSnapshot.Opts), and
-// hands them back to RestoreRunner.
+// A snapshot shares no memory with the run it was taken from or with
+// runs restored from it, so one snapshot can seed any number of runs.
 type Snapshot struct {
+	Version int `json:"version"`
+	// Opts is the run's Config: the normalized batch options, every live
+	// injection appended. It is the snapshot's only copy of the
+	// configuration; a reader that only wants the configuration (or a
+	// re-run from scratch) can use it and ignore Sim.
+	Opts Options  `json:"opts"`
+	Sim  SimState `json:"sim"`
+}
+
+// SimState is the simulator state of a paused Runner. The capture
+// rule: dynamic state that affects future events or the final report is
+// carried (RNG vectors, the event heap verbatim, occupancy, accumulated
+// telemetry and models, accounting integrals, log digests); anything
+// derivable from the run's options is rebuilt (topology, arrival streams
+// from their fork seeds, the trained bootstrap insensitivity model), and
+// pure caches (serving-score memos, scratch freelists) restore empty — a
+// miss recomputes the identical value.
+type SimState struct {
 	Version     int     `json:"version"`
 	NowSec      float64 `json:"now_sec"`
 	NextBarrier int     `json:"next_barrier"`
@@ -170,13 +182,19 @@ func (r *Runner) Snapshot() (*Snapshot, error) {
 	if r.rep != nil {
 		return nil, fmt.Errorf("fleet: snapshot refused: run already finished")
 	}
-	s := &Snapshot{
-		Version:     SnapshotVersion,
-		NowSec:      r.now,
-		NextBarrier: r.nextBarrier,
-		Done:        r.done,
-		Compact:     r.compact,
+	snap := &Snapshot{
+		Version: SnapshotVersion,
+		Opts:    r.o,
+		Sim: SimState{
+			Version:     SnapshotVersion,
+			NowSec:      r.now,
+			NextBarrier: r.nextBarrier,
+			Done:        r.done,
+			Compact:     r.compact,
+		},
 	}
+	snap.Opts.Injections = slices.Clone(r.o.Injections)
+	s := &snap.Sim
 	var err error
 	if s.FleetLog, err = logStream(r.fleetLog.String(), r.fleetMark, r.fleetDigest, r.fleetCompacted); err != nil {
 		return nil, err
@@ -194,7 +212,16 @@ func (r *Runner) Snapshot() (*Snapshot, error) {
 			return nil, err
 		}
 	}
-	return s, nil
+	return snap, nil
+}
+
+// clone copies the result's histories that barriers append to mid-run,
+// so a snapshot and the runs restored from it never append into one
+// another's arrays.
+func (res CellResult) clone() CellResult {
+	res.Plans = slices.Clone(res.Plans)
+	res.ServedVersions = slices.Clone(res.ServedVersions)
+	return res
 }
 
 // state captures one cell's dynamic state.
@@ -228,7 +255,7 @@ func (c *cellSim) state() (CellState, error) {
 		DemandEpoch:   c.demandEpoch.State(),
 		DemandTotal:   c.demandTotal.State(),
 
-		Result: c.res,
+		Result: c.res.clone(),
 	}
 	var err error
 	if cs.Log, err = logStream(c.log.String(), c.drainMark, c.logDigest, c.compacted); err != nil {
@@ -280,23 +307,24 @@ func (c *cellSim) state() (CellState, error) {
 }
 
 // RestoreRunner rebuilds a paused Runner from a snapshot, in O(snapshot
-// size): the static wiring is reconstructed from o exactly as NewRunner
-// does, then every cell's dynamic state is overwritten — no simulated
-// time is replayed. o must be the options of the snapshotted run, every
-// live injection appended (Runner.Options, or the public FleetRun.Config)
-// — the same configuration a batch run reproducing it takes. The
-// restored run continues byte-for-byte where the snapshot left off.
-func RestoreRunner(ctx context.Context, o Options, s *Snapshot) (*Runner, error) {
-	if s == nil {
+// size): the static wiring is reconstructed from snap.Opts exactly as
+// NewRunner does, then every cell's dynamic state is overwritten — no
+// simulated time is replayed. The restored run continues byte-for-byte
+// where the snapshot left off, and shares no memory with snap.
+func RestoreRunner(ctx context.Context, snap *Snapshot) (*Runner, error) {
+	if snap == nil {
 		return nil, fmt.Errorf("fleet: nil snapshot")
 	}
-	if s.Version != SnapshotVersion {
-		return nil, fmt.Errorf("fleet: snapshot version %d not supported (want %d)", s.Version, SnapshotVersion)
+	s := &snap.Sim
+	if snap.Version != SnapshotVersion || s.Version != SnapshotVersion {
+		return nil, fmt.Errorf("fleet: snapshot version %d (sim %d) not supported (want %d)",
+			snap.Version, s.Version, SnapshotVersion)
 	}
-	o, err := normalize(o)
+	o, err := normalize(snap.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: snapshot options: %w", err)
 	}
+	o.Injections = slices.Clone(o.Injections)
 	r, err := newRunner(ctx, o)
 	if err != nil {
 		return nil, err
@@ -467,7 +495,7 @@ func (c *cellSim) restoreState(cs CellState, now float64, fp *fleetpipeline.Mana
 	c.lastFallbacks = cs.LastFallbacks
 	c.demandEpoch.SetState(cs.DemandEpoch)
 	c.demandTotal.SetState(cs.DemandTotal)
-	c.res = cs.Result
+	c.res = cs.Result.clone()
 	return nil
 }
 

@@ -1,17 +1,21 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // snapshotCases are the configurations the round-trip tests cover: the
 // plain cell-scoped path, the barriered fleet-scope release train, and
-// the elastic pool — every subsystem a snapshot must carry.
+// the elastic pool — every subsystem a snapshot must carry. A second
+// elastic case plans every 50 s, so a t=170 snapshot holds three plans
+// in a four-slot history the next barrier appends into.
 func snapshotCases() map[string]Options {
 	plain := testOptions()
 	plain.Model.Disabled = false
@@ -34,19 +38,32 @@ func snapshotCases() map[string]Options {
 	elastic.Capacity.PlanEverySec = 100
 	elastic.Injections = mustParseInjections("resize@t=150:emc=1:slices=-8,drift@t=250:mag=0.5")
 
+	elastic50 := elastic
+	elastic50.Capacity.PlanEverySec = 50
+
 	return map[string]Options{
-		"cell-scope":  plain,
-		"fleet-scope": fleetScope,
-		"elastic":     elastic,
+		"cell-scope":      plain,
+		"fleet-scope":     fleetScope,
+		"elastic":         elastic,
+		"elastic-plan-50": elastic50,
 	}
 }
 
-// TestSnapshotRestoreMatchesUninterrupted is the tentpole's correctness
-// bar: snapshot at a mid-run safe point, restore in a fresh Runner
-// (through the JSON wire form, as a fresh process would), and the
-// remaining event log plus the final report hash must be byte-identical
-// to the uninterrupted batch run — for worker counts 1 and 4.
+// TestSnapshotRestoreMatchesUninterrupted is the snapshot's correctness
+// bar. Each case pauses a run at t=170, drains it and snapshots it; then
+// four runs advance to the horizon together, one slice each in turn: the
+// original, one restored through the JSON wire form (as a fresh process
+// would), one restored from the same in-memory snapshot that drains as
+// it goes, and a fork restored from that snapshot and given a live surge
+// before its next barrier. Each must match its own batch run — hash,
+// event log, plan and served-version histories — and the snapshot must
+// still encode to its first bytes afterwards: the snapshot shares no
+// memory with any of the runs. Worker counts 1 and 4.
 func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
+	surge, err := ParseInjection("surge@t=175:dur=150:x=4")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, o := range snapshotCases() {
 		for _, workers := range []int{1, 4} {
 			o := o
@@ -58,6 +75,12 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				forkOpts := o
+				forkOpts.Injections = append(o.Injections[:len(o.Injections):len(o.Injections)], surge)
+				forkBatch, err := Run(ctx, forkOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
 
 				r, err := NewRunner(ctx, o)
 				if err != nil {
@@ -66,23 +89,19 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 				if err := r.Advance(ctx, 170); err != nil {
 					t.Fatal(err)
 				}
-				drained := r.DrainEvents()
-				prefix := ""
-				// Reassemble the drained prefix per stream for the byte check
-				// below: cells in cell order, fleet last — report layout.
-				perCell := make([]string, o.Cluster.Cells)
-				fleetPart := ""
-				for _, ev := range drained {
-					if ev.Cell < 0 {
-						fleetPart += ev.Line + "\n"
-					} else {
-						perCell[ev.Cell] += ev.Line + "\n"
+				// The drained prefix and, below, the resumed run's remainder
+				// per stream: cells in cell order, fleet last — report layout.
+				perCell := make([]string, o.Cluster.Cells+1)
+				drain := func(evs []LogEvent) {
+					for _, ev := range evs {
+						i := ev.Cell
+						if i < 0 {
+							i = o.Cluster.Cells
+						}
+						perCell[i] += ev.Line + "\n"
 					}
 				}
-				for _, s := range perCell {
-					prefix += s
-				}
-				prefix += fleetPart
+				drain(r.DrainEvents())
 
 				snap, err := r.Snapshot()
 				if err != nil {
@@ -96,70 +115,81 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 				if err := json.Unmarshal(wire, &loaded); err != nil {
 					t.Fatal(err)
 				}
-
-				restored, err := RestoreRunner(ctx, o, &loaded)
+				restored, err := RestoreRunner(ctx, &loaded)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if restored.Now() != r.Now() {
 					t.Fatalf("restored clock %g, want %g", restored.Now(), r.Now())
 				}
-				rep, err := restored.Finish(ctx)
+				resumed, err := RestoreRunner(ctx, snap)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep.LogSHA256 != batch.LogSHA256 {
-					gotLines := splitLines(rep.EventLog)
-					wantLines := splitLines(batch.EventLog)
-					line, g, w := firstDiff(gotLines, wantLines)
-					t.Fatalf("restored run hash %s, batch %s; first divergence at line %d:\n  got:  %s\n  want: %s",
-						rep.LogSHA256, batch.LogSHA256, line, g, w)
+				forked, err := RestoreRunner(ctx, snap)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if rep.EventLog != batch.EventLog {
-					t.Fatalf("restored EventLog differs from batch (%d vs %d bytes)", len(rep.EventLog), len(batch.EventLog))
+				if err := forked.Inject(surge); err != nil {
+					t.Fatal(err)
 				}
-				if rep.Events != batch.Events {
-					t.Fatalf("restored Events=%d, batch %d", rep.Events, batch.Events)
+
+				runs := []struct {
+					name string
+					run  *Runner
+					want *Report
+				}{
+					{"original", r, batch},
+					{"wire-restored", restored, batch},
+					{"resumed", resumed, batch},
+					{"fork", forked, forkBatch},
+				}
+				for at := r.Now(); !r.Done(); {
+					at += 25
+					for _, c := range runs {
+						if err := c.run.Advance(ctx, at); err != nil {
+							t.Fatalf("%s: %v", c.name, err)
+						}
+					}
+					drain(resumed.DrainEvents())
+				}
+				for _, c := range runs {
+					rep, err := c.run.Finish(ctx)
+					if err != nil {
+						t.Fatalf("%s: %v", c.name, err)
+					}
+					if rep.LogSHA256 != c.want.LogSHA256 {
+						line, g, w := firstDiff(splitLines(rep.EventLog), splitLines(c.want.EventLog))
+						t.Fatalf("%s: hash %s, batch %s; first divergence at line %d:\n  got:  %s\n  want: %s",
+							c.name, rep.LogSHA256, c.want.LogSHA256, line, g, w)
+					}
+					if rep.EventLog != c.want.EventLog || rep.Events != c.want.Events {
+						t.Fatalf("%s: EventLog differs from batch (%d vs %d bytes, %d vs %d events)",
+							c.name, len(rep.EventLog), len(c.want.EventLog), rep.Events, c.want.Events)
+					}
+					if !reflect.DeepEqual(rep.PlanHistory, c.want.PlanHistory) {
+						t.Fatalf("%s: plan history differs from batch:\n  got:  %v\n  want: %v", c.name, rep.PlanHistory, c.want.PlanHistory)
+					}
+					for i := range rep.Cells {
+						if g, w := rep.Cells[i].ServedVersions, c.want.Cells[i].ServedVersions; !reflect.DeepEqual(g, w) {
+							t.Fatalf("%s: cell %d served versions %v, batch %v", c.name, i, g, w)
+						}
+					}
 				}
 
 				// The remaining log after the snapshot point must be exactly
 				// the batch log minus the drained prefix, stream by stream.
-				restored2, err := RestoreRunner(ctx, o, snap)
+				drain(resumed.DrainEvents())
+				if full := strings.Join(perCell, ""); full != batch.EventLog {
+					t.Fatalf("drained-prefix + resumed-remainder reassembly differs from batch log (%d vs %d bytes)",
+						len(full), len(batch.EventLog))
+				}
+				again, err := json.Marshal(snap)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := restored2.Advance(ctx, o.Cluster.DurationSec); err != nil {
-					t.Fatal(err)
-				}
-				rest := restored2.DrainEvents()
-				perCell2 := make([]string, o.Cluster.Cells)
-				fleet2 := ""
-				for _, ev := range rest {
-					if ev.Cell < 0 {
-						fleet2 += ev.Line + "\n"
-					} else {
-						perCell2[ev.Cell] += ev.Line + "\n"
-					}
-				}
-				if _, err := restored2.Finish(ctx); err != nil {
-					t.Fatal(err)
-				}
-				final := restored2.DrainEvents()
-				for _, ev := range final {
-					if ev.Cell < 0 {
-						fleet2 += ev.Line + "\n"
-					} else {
-						perCell2[ev.Cell] += ev.Line + "\n"
-					}
-				}
-				full := ""
-				for i := range perCell2 {
-					full += perCell[i] + perCell2[i]
-				}
-				full += fleetPart + fleet2
-				if full != batch.EventLog {
-					t.Fatalf("drained-prefix + restored-remainder reassembly differs from batch log (%d vs %d bytes)",
-						len(full), len(batch.EventLog))
+				if !bytes.Equal(again, wire) {
+					t.Fatal("the snapshot changed while the runs it seeded advanced")
 				}
 			})
 		}
@@ -216,15 +246,20 @@ func TestRestoreRejectsVersionAndShape(t *testing.T) {
 	}
 	bad := *snap
 	bad.Version = SnapshotVersion + 1
-	if _, err := RestoreRunner(ctx, o, &bad); err == nil {
+	if _, err := RestoreRunner(ctx, &bad); err == nil {
 		t.Fatal("wrong snapshot version accepted")
 	}
 	bad = *snap
-	bad.Cells = snap.Cells[:1]
-	if _, err := RestoreRunner(ctx, o, &bad); err == nil {
+	bad.Sim.Version = SnapshotVersion + 1
+	if _, err := RestoreRunner(ctx, &bad); err == nil {
+		t.Fatal("wrong sim state version accepted")
+	}
+	bad = *snap
+	bad.Sim.Cells = snap.Sim.Cells[:1]
+	if _, err := RestoreRunner(ctx, &bad); err == nil {
 		t.Fatal("truncated cell list accepted")
 	}
-	if _, err := RestoreRunner(ctx, o, nil); err == nil {
+	if _, err := RestoreRunner(ctx, nil); err == nil {
 		t.Fatal("nil snapshot accepted")
 	}
 }
@@ -312,8 +347,8 @@ func TestRestoreRejectsTamperedHeap(t *testing.T) {
 			if err := json.Unmarshal(wire, &s); err != nil {
 				t.Fatal(err)
 			}
-			s.Cells[1].Heap = tc.mutate(s.Cells[1].Heap)
-			restored, err := RestoreRunner(ctx, o, &s)
+			s.Sim.Cells[1].Heap = tc.mutate(s.Sim.Cells[1].Heap)
+			restored, err := RestoreRunner(ctx, &s)
 			if err == nil {
 				t.Fatalf("tampered heap restored; the run then reports %v", restored.Advance(ctx, o.Cluster.DurationSec))
 			}
@@ -327,7 +362,7 @@ func TestRestoreRejectsTamperedHeap(t *testing.T) {
 	if err := json.Unmarshal(wire, &s); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreRunner(ctx, o, &s)
+	restored, err := RestoreRunner(ctx, &s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +391,11 @@ func TestRestoreRejectsRetrainTickWhenMonitorOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Cells[0].Mlops == nil {
+	if snap.Sim.Cells[0].Mlops == nil {
 		t.Fatal("snapshot has no cell-scoped model lifecycle")
 	}
-	snap.Cells[0].Heap = pushed(snap.Cells[0].Heap, EventState{Kind: evRetrain})
-	if _, err := RestoreRunner(ctx, o, snap); err == nil || !strings.Contains(err.Error(), "cell 0") ||
+	snap.Sim.Cells[0].Heap = pushed(snap.Sim.Cells[0].Heap, EventState{Kind: evRetrain})
+	if _, err := RestoreRunner(ctx, snap); err == nil || !strings.Contains(err.Error(), "cell 0") ||
 		!strings.Contains(err.Error(), "monitor-only") {
 		t.Fatalf("restore error = %v, want a refused retrain tick in cell 0's monitor-only lifecycle", err)
 	}
@@ -389,14 +424,14 @@ func TestAdvanceClampsToNow(t *testing.T) {
 	}
 	// An injection at a time after the true clock but before a bogus
 	// rewound one must still be accepted.
-	if err := r.AddInjection(Injection{kind: InjectSurge, atSec: 250, durSec: 50, factor: 2}); err != nil {
+	if err := r.Inject(Injection{kind: InjectSurge, atSec: 250, durSec: 50, factor: 2}); err != nil {
 		t.Fatalf("injection at t=250 refused after Advance(50): %v", err)
 	}
 	rep, err := r.Finish(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchOpts := r.Options()
+	batchOpts := r.Config()
 	batch, err := Run(ctx, batchOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -502,7 +537,7 @@ func TestSnapshotOfCompactedRunRestores(t *testing.T) {
 	if err := json.Unmarshal(wire, &loaded); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreRunner(ctx, o, &loaded)
+	restored, err := RestoreRunner(ctx, &loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +585,7 @@ func BenchmarkRestoreRunner(b *testing.B) {
 				if err := json.Unmarshal(wire, &s); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := RestoreRunner(ctx, o, &s); err != nil {
+				if _, err := RestoreRunner(ctx, &s); err != nil {
 					b.Fatal(err)
 				}
 			}

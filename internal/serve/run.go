@@ -50,13 +50,15 @@ type Run struct {
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast on new events or a state change
 
-	// fr is nil for a terminal (done/failed) run restored from a
-	// checkpoint: its config, progress, and report are served from the
-	// persisted copies instead of a live simulation.
-	fr       *pond.FleetRun
-	config   pond.FleetOpts     // serving copy when fr is nil
-	progress pond.FleetProgress // serving copy when fr is nil
-	horizon  float64            // normalized DurationSec — Config() may carry a 0
+	// fr is the simulation, nil once the run is done or failed: a
+	// terminal run serves only config, progress, and report, so it lets
+	// go of the simulator (and a restored terminal run never has one).
+	fr *pond.FleetRun
+	// config and progress are what GET /runs/{id} serves: config is
+	// refreshed from fr at each accepted injection and progress also at
+	// each drain. config is normalized, so it carries the horizon.
+	config   pond.FleetOpts
+	progress pond.FleetProgress
 	state    string
 	// parkedFrom remembers the state a park interrupted (running or
 	// holding), so the checkpoint can resume the run holding at the same
@@ -83,7 +85,8 @@ type Run struct {
 }
 
 func newRun(id string, fr *pond.FleetRun, holds []float64) *Run {
-	r := &Run{ID: id, fr: fr, horizon: fr.Progress().DurationSec, state: StateRunning, holds: holds, stateSince: time.Now()}
+	r := &Run{ID: id, fr: fr, config: fr.Config(), progress: fr.Progress(),
+		state: StateRunning, holds: holds, stateSince: time.Now()}
 	r.cond = sync.NewCond(&r.mu)
 	return r
 }
@@ -119,7 +122,7 @@ func (r *Run) drive(ctx context.Context, sliceSec float64) {
 				return
 			}
 		}
-		target := r.horizon
+		target := r.config.Cluster.DurationSec
 		holding := false
 		if len(r.holds) > 0 && r.holds[0] <= target {
 			target, holding = r.holds[0], true
@@ -155,7 +158,7 @@ func (r *Run) drive(ctx context.Context, sliceSec float64) {
 			}
 			r.drainLocked()
 			r.report = snapshotReport(rep)
-			r.progress = r.fr.Progress()
+			r.fr = nil
 			r.setStateLocked(StateDone)
 			r.cond.Broadcast()
 			return
@@ -166,10 +169,11 @@ func (r *Run) drive(ctx context.Context, sliceSec float64) {
 	}
 }
 
-// drainLocked moves newly produced log lines into the sequenced event
-// buffer and sampled metrics rows into the series buffer, waking
-// streamers of both. Callers hold r.mu.
+// drainLocked refreshes the served progress, moves newly produced log
+// lines into the sequenced event buffer and sampled metrics rows into
+// the series buffer, and wakes streamers of both. Callers hold r.mu.
 func (r *Run) drainLocked() {
+	r.progress = r.fr.Progress()
 	rows := r.fr.DrainMetrics()
 	evs := r.fr.DrainEvents()
 	if len(rows) == 0 && len(evs) == 0 {
@@ -184,6 +188,7 @@ func (r *Run) drainLocked() {
 
 func (r *Run) fail(err error) {
 	r.err = err
+	r.fr = nil
 	r.setStateLocked(StateFailed)
 	r.cond.Broadcast()
 }
@@ -220,7 +225,11 @@ func (r *Run) Inject(in pond.Injection) error {
 	if r.state == StateParked {
 		return ErrParked
 	}
-	return r.fr.Inject(in)
+	if err := r.fr.Inject(in); err != nil {
+		return err
+	}
+	r.config, r.progress = r.fr.Config(), r.fr.Progress()
+	return nil
 }
 
 // Resume releases a holding run. It reports whether the run was
@@ -243,28 +252,6 @@ var ErrCompleted = fmt.Errorf("run completed; injections are closed")
 // ErrParked marks an injection refused because the daemon parked the
 // run for shutdown.
 var ErrParked = fmt.Errorf("run parked for shutdown; injections are closed")
-
-// Config returns the run's reproduce-from-scratch batch configuration
-// (live injections folded in) at a safe point.
-func (r *Run) Config() pond.FleetOpts {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.configLocked()
-}
-
-func (r *Run) configLocked() pond.FleetOpts {
-	if r.fr == nil {
-		return r.config
-	}
-	return r.fr.Config()
-}
-
-func (r *Run) progressLocked() pond.FleetProgress {
-	if r.fr == nil {
-		return r.progress
-	}
-	return r.fr.Progress()
-}
 
 // Snapshot is the inspectable state GET /runs/{id} serves — and, per
 // element, the GET /runs list, so the list carries each run's live
@@ -311,11 +298,11 @@ func (r *Run) Snapshot() Snapshot {
 		ID:          r.ID,
 		State:       r.state,
 		StateAgeSec: time.Since(r.stateSince).Seconds(),
-		Progress:    r.progressLocked(),
+		Progress:    r.progress,
 		Events:      len(r.events),
 		MetricsRows: len(r.metrics),
 		HoldsAt:     append([]float64(nil), r.holds...),
-		Config:      r.configLocked(),
+		Config:      r.config,
 	}
 	if r.err != nil {
 		s.Error = r.err.Error()
@@ -439,7 +426,7 @@ func (r *Run) gauges() gaugeView {
 		id:       r.ID,
 		state:    r.state,
 		ageSec:   time.Since(r.stateSince).Seconds(),
-		progress: r.progressLocked(),
+		progress: r.progress,
 		events:   len(r.events),
 		lag:      len(r.events) - r.streamed,
 		rows:     len(r.metrics),

@@ -703,6 +703,46 @@ func TestCheckpointTerminalRunsSkipResimulation(t *testing.T) {
 	}
 }
 
+// TestFinishedRunReleasesSimulator pins that a run finished live lets go
+// of its simulator, as a restored terminal run never had one, and still
+// serves its normalized config, its final progress and its report.
+func TestFinishedRunReleasesSimulator(t *testing.T) {
+	s, ts := newTestServer(t)
+	snap := decodeSnapshot(t, postJSON(t, ts.URL+"/runs", map[string]any{"opts": tinyOpts(), "hold_at_sec": []float64{100}}))
+	waitState(t, ts.URL, snap.ID, StateHolding)
+	iresp := postJSON(t, ts.URL+"/runs/"+snap.ID+"/inject", map[string]any{"injection": "emc-fail@t=200:emc=1"})
+	iresp.Body.Close()
+	rresp := postJSON(t, ts.URL+"/runs/"+snap.ID+"/resume", struct{}{})
+	rresp.Body.Close()
+	if iresp.StatusCode != http.StatusOK || rresp.StatusCode != http.StatusOK {
+		t.Fatalf("inject status %d, resume status %d", iresp.StatusCode, rresp.StatusCode)
+	}
+	done := waitState(t, ts.URL, snap.ID, StateDone)
+	r, _ := s.run(snap.ID)
+	r.mu.Lock()
+	held := r.fr != nil
+	r.mu.Unlock()
+	if held {
+		t.Fatal("finished run still holds its simulator")
+	}
+
+	if done.Config.Engine.Seed != 1 || done.Config.Model.Scope != "cell" || len(done.Config.Injections) != 1 {
+		t.Fatalf("served config is not the normalized one with the live injection: %+v", done.Config)
+	}
+	want, err := pond.RunFleet(context.Background(), done.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Report == nil || done.Report.LogSHA256 != want.LogSHA256 {
+		t.Fatalf("served report %+v, want sha %s", done.Report, want.LogSHA256)
+	}
+	p := done.Progress
+	if !p.Done || p.NowSec != want.Options.Cluster.DurationSec || p.Injections != 1 ||
+		p.Arrivals != want.Arrivals || p.Placed != want.Placed || p.Departed != want.Departed {
+		t.Fatalf("served progress %+v does not match the finished run", p)
+	}
+}
+
 func mustGet(t *testing.T, url string) *http.Response {
 	t.Helper()
 	resp, err := http.Get(url)

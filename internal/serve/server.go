@@ -534,7 +534,7 @@ func (r *Run) checkpointState() (checkpointRun, error) {
 	defer r.mu.Unlock()
 	cr := checkpointRun{
 		ID:      r.ID,
-		Opts:    r.configLocked(),
+		Opts:    r.config,
 		State:   r.state,
 		HoldsAt: append([]float64(nil), r.holds...),
 		Events:  append([]Event(nil), r.events...),
@@ -549,7 +549,7 @@ func (r *Run) checkpointState() (checkpointRun, error) {
 		if r.err != nil {
 			cr.Error = r.err.Error()
 		}
-		p := r.progressLocked()
+		p := r.progress
 		cr.Progress = &p
 	default:
 		if r.fr == nil {

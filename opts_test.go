@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -152,52 +153,90 @@ func TestFleetOptsJSONRoundTrip(t *testing.T) {
 // TestStartFleetLiveInjectMatchesRunFleet is the determinism bridge at
 // the public API: a live injection through FleetRun.Inject must produce
 // the batch RunFleet hash, and Config must return that batch
-// configuration.
+// configuration, normalized: every default filled in, valid, and
+// reported unchanged by a run started from it, which logs the same hash.
 func TestStartFleetLiveInjectMatchesRunFleet(t *testing.T) {
 	ctx := context.Background()
-	o := testFleetOpts()
 	live, err := ParseInjection("emc-fail@t=200:emc=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		o.Engine.Workers = workers
-		fr, err := StartFleet(ctx, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fr.Advance(ctx, 120); err != nil {
-			t.Fatal(err)
-		}
-		if got := fr.Progress(); got.NowSec != 120 || got.Done {
-			t.Fatalf("mid-run progress: %+v", got)
-		}
-		if err := fr.Inject(live); err != nil {
-			t.Fatal(err)
-		}
-		liveRep, err := fr.Finish(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+	small := testFleetOpts()
+	smallNorm := small
+	smallNorm.Cluster.Topology, smallNorm.Cluster.PodDegree = "flat", 2
+	smallNorm.Model.Scope = "cell"
+	smallNorm.Engine.Seed = 1
+	for _, tc := range []struct {
+		name       string
+		opts, norm FleetOpts
+	}{
+		{"small", small, smallNorm},
+		{"zero-groups", FleetOpts{}, Defaults()},
+	} {
+		for _, workers := range []int{1, 4} {
+			o := tc.opts
+			o.Engine.Workers = workers
+			fr, err := StartFleet(ctx, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fr.Advance(ctx, 120); err != nil {
+				t.Fatal(err)
+			}
+			if got := fr.Progress(); got.NowSec != 120 || got.Done {
+				t.Fatalf("%s: mid-run progress: %+v", tc.name, got)
+			}
+			if err := fr.Inject(live); err != nil {
+				t.Fatal(err)
+			}
+			liveRep, err := fr.Finish(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-		batch := o
-		batch.Injections = append([]Injection{}, live)
-		batchRep, err := RunFleet(ctx, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if liveRep.LogSHA256 != batchRep.LogSHA256 {
-			t.Fatalf("workers=%d: live sha %s != batch sha %s", workers, liveRep.LogSHA256, batchRep.LogSHA256)
-		}
+			batch := o
+			batch.Injections = append([]Injection{}, live)
+			batchRep, err := RunFleet(ctx, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if liveRep.LogSHA256 != batchRep.LogSHA256 {
+				t.Fatalf("%s workers=%d: live sha %s != batch sha %s", tc.name, workers, liveRep.LogSHA256, batchRep.LogSHA256)
+			}
 
-		// Config is the checkpoint payload: running it batch reproduces
-		// the log.
-		ckpt, err := RunFleet(ctx, fr.Config())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ckpt.LogSHA256 != liveRep.LogSHA256 {
-			t.Fatalf("Config() does not reproduce the run: %s vs %s", ckpt.LogSHA256, liveRep.LogSHA256)
+			// Config is the checkpoint payload: the normalized options with
+			// the live injection, and running it batch reproduces the log.
+			cfg := fr.Config()
+			want := tc.norm
+			want.Engine.Workers = workers
+			want.Injections = []Injection{live}
+			if !reflect.DeepEqual(cfg, want) {
+				t.Fatalf("%s workers=%d: Config() = %+v, want the defaults filled in: %+v", tc.name, workers, cfg, want)
+			}
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%s: Config() does not validate: %v", tc.name, err)
+			}
+			ckpt, err := RunFleet(ctx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ckpt.LogSHA256 != liveRep.LogSHA256 {
+				t.Fatalf("%s: Config() does not reproduce the run: %s vs %s", tc.name, ckpt.LogSHA256, liveRep.LogSHA256)
+			}
+			again, err := StartFleet(ctx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again.Config(), cfg) {
+				t.Fatalf("%s: a run started from Config() reports %+v, want %+v", tc.name, again.Config(), cfg)
+			}
+			againRep, err := again.Finish(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if againRep.LogSHA256 != liveRep.LogSHA256 {
+				t.Fatalf("%s: a run started from Config() logs sha %s, want %s", tc.name, againRep.LogSHA256, liveRep.LogSHA256)
+			}
 		}
 	}
 }

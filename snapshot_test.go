@@ -10,9 +10,8 @@ import (
 
 // retrainSnapshot pauses a one-cell, cell-scope retraining run at
 // t=2100, once a trained GBM sits in the untouched-memory challenger
-// slot, and returns its snapshot with the simulator state decoded for
-// mutation (numbers kept verbatim, so RNG states survive re-encoding).
-func retrainSnapshot(t *testing.T) (*FleetSnapshot, map[string]any) {
+// slot, and returns its snapshot with the snapshot's JSON encoding.
+func retrainSnapshot(t *testing.T) (*FleetSnapshot, []byte) {
 	t.Helper()
 	ctx := context.Background()
 	o := Defaults()
@@ -31,9 +30,15 @@ func retrainSnapshot(t *testing.T) (*FleetSnapshot, map[string]any) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snap, decodeVerbatim(t, snap.Sim)
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, data
 }
 
+// decodeVerbatim decodes JSON for mutation, keeping numbers verbatim so
+// RNG states survive re-encoding.
 func decodeVerbatim(t *testing.T, data []byte) map[string]any {
 	t.Helper()
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -45,8 +50,10 @@ func decodeVerbatim(t *testing.T, data []byte) map[string]any {
 	return m
 }
 
-// cellMlops returns the first cell's model-lifecycle state.
-func cellMlops(sim map[string]any) map[string]any {
+// cellMlops returns the first cell's model-lifecycle state in a decoded
+// snapshot file.
+func cellMlops(file map[string]any) map[string]any {
+	sim := file["sim"].(map[string]any)
 	return sim["cells"].([]any)[0].(map[string]any)["mlops"].(map[string]any)
 }
 
@@ -74,13 +81,13 @@ func forestSlot(t *testing.T, mlops map[string]any) string {
 }
 
 // TestRestoreFleetRejectsCorruptModels tampers with the model wire forms
-// inside a real snapshot: every mutation must fail the restore with an
-// error. Before the import checks, a node that is its own child killed
+// inside a real snapshot file: every mutation must fail the restore with
+// an error. Before the import checks, a node that is its own child killed
 // the restoring process with a stack overflow, an out-of-width split
 // feature restored and then panicked on the next Advance, and a negative
 // forest leaf count panicked inside the import.
 func TestRestoreFleetRejectsCorruptModels(t *testing.T) {
-	snap, _ := retrainSnapshot(t)
+	snap, data := retrainSnapshot(t)
 	root := func(trees []any) map[string]any {
 		return trees[0].(map[string]any)["nodes"].([]any)[0].(map[string]any)
 	}
@@ -103,18 +110,20 @@ func TestRestoreFleetRejectsCorruptModels(t *testing.T) {
 		{"challenger-version-without-model", func(t *testing.T, m map[string]any) { delete(m, "um_chall") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sim := decodeVerbatim(t, snap.Sim)
-			m := cellMlops(sim)
+			file := decodeVerbatim(t, data)
+			m := cellMlops(file)
 			if slotTrees(m, "um_chall") == nil {
 				t.Fatal("snapshot has no trained untouched-memory challenger to corrupt")
 			}
 			tc.mutate(t, m)
-			data, err := json.Marshal(sim)
+			tampered, err := json.Marshal(file)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bad := *snap
-			bad.Sim = data
+			var bad FleetSnapshot
+			if err := json.Unmarshal(tampered, &bad); err != nil {
+				t.Fatal(err)
+			}
 			_, err = RestoreFleet(context.Background(), &bad)
 			if err == nil {
 				t.Fatal("restore accepted a corrupt model")
