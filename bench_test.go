@@ -187,7 +187,7 @@ func BenchmarkAblationAsyncRelease(b *testing.B) {
 
 func BenchmarkAblationForestSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.AblationForestSize(2)
+		r := experiments.AblationForestSize()
 		b.ReportMetric(100*r.MeanFP[len(r.MeanFP)-1], "fp%@60trees")
 	}
 }

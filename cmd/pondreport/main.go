@@ -1,12 +1,20 @@
-// Command pondreport regenerates the complete evaluation in one run: all
-// figures, findings, and ablations, in paper order. It is the one-command
-// reproduction entry point; expect a few minutes at -scale=quick and
-// substantially longer at -scale=paper.
+// Command pondreport prints the paper's evaluation: the figures,
+// findings and ablations of the experiment registry, every one by
+// default or those -figures names, in the order given. They are the
+// definitions pond.RunExperiments runs, so for the same scale, seed and
+// names stdout matches its outputs byte for byte. -sweep evaluates a
+// scenario matrix across scales and policies instead.
+//
+// stdout carries only the experiment outputs and is byte-identical for
+// any -workers; -seed reroots every stream. The header and each
+// experiment's wall time go to stderr.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
+	"strings"
 	"time"
 
 	"pond/internal/cliutil"
@@ -14,55 +22,42 @@ import (
 )
 
 func main() {
-	scaleFlag := flag.String("scale", "quick", "trace scale: tiny, quick, full, or paper")
-	folds := flag.Int("folds", 10, "cross-validation folds (paper: 100)")
+	var all []string
+	for _, d := range experiments.Registry() {
+		all = append(all, d.Name)
+	}
+	figs := flag.String("figures", strings.Join(all, ","), "comma-separated registry names of the experiments to print, in order")
+	scaleFlag := flag.String("scale", "quick", "trace scale: tiny, quick, full, or paper; it also sets the model studies' folds, samples and retrain cadence")
+	workers := flag.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS); results are identical for any value")
+	seed := flag.Int64("seed", experiments.DefaultSeed, "root seed for every generation and training stream")
+	sweep := flag.String("sweep", "", `scenario matrix to run instead of the figures, e.g. "scale=quick,full x policy=pooled,static"`)
 	flag.Parse()
 
+	cliutil.MustValidateRun("pondreport", *workers, *seed)
 	scale, err := experiments.ParseScale(*scaleFlag)
 	if err != nil {
 		cliutil.Fatal("pondreport", err)
 	}
-	if *folds < 1 {
-		cliutil.Fatal("pondreport", fmt.Errorf("-folds must be >= 1, got %d", *folds))
+	defs, err := experiments.Lookup(strings.Split(*figs, ","))
+	if err != nil {
+		cliutil.Fatal("pondreport", err)
+	}
+	opts := []experiments.Option{experiments.WithWorkers(*workers), experiments.WithSeed(*seed)}
+	if *sweep != "" {
+		spec, err := experiments.ParseSweep(*sweep)
+		if err != nil {
+			cliutil.Fatal("pondreport", err)
+		}
+		fmt.Println(experiments.RunSweep(spec, opts...))
+		return
 	}
 
-	fmt.Printf("Pond reproduction report (scale=%s, folds=%d)\n", scale, *folds)
-	fmt.Printf("================================================\n\n")
-
-	sections := []struct {
-		name string
-		run  func() fmt.Stringer
-	}{
-		{"Figure 2a", func() fmt.Stringer { return experiments.Figure2a(scale) }},
-		{"Figure 2b", func() fmt.Stringer { return experiments.Figure2b(scale) }},
-		{"Figure 3", func() fmt.Stringer { return experiments.Figure3(scale) }},
-		{"Figure 4", func() fmt.Stringer { return experiments.Figure4() }},
-		{"Figure 5", func() fmt.Stringer { return experiments.Figure5() }},
-		{"Figure 6", func() fmt.Stringer { return experiments.Figure6() }},
-		{"Figure 7", func() fmt.Stringer { return experiments.Figure7() }},
-		{"Figure 8", func() fmt.Stringer { return experiments.Figure8() }},
-		{"Figure 9", func() fmt.Stringer { return experiments.Figure9() }},
-		{"Figure 10", func() fmt.Stringer { return experiments.Figure10() }},
-		{"Figure 15", func() fmt.Stringer { return experiments.Figure15() }},
-		{"Figure 16", func() fmt.Stringer { return experiments.Figure16() }},
-		{"Figure 17", func() fmt.Stringer { return experiments.Figure17(*folds, 3) }},
-		{"Figure 18", func() fmt.Stringer { return experiments.Figure18(scale) }},
-		{"Figure 19", func() fmt.Stringer { return experiments.Figure19(scale, 7) }},
-		{"Figure 20", func() fmt.Stringer { return experiments.Figure20(scale, *folds) }},
-		{"Figure 21", func() fmt.Stringer { return experiments.Figure21(scale) }},
-		{"Finding 10", func() fmt.Stringer { return experiments.Finding10(scale) }},
-		{"Counter audit", func() fmt.Stringer { return experiments.CounterAudit(8) }},
-		{"Ablation: zNUMA", func() fmt.Stringer { return experiments.AblationZNUMA() }},
-		{"Ablation: co-location", func() fmt.Stringer { return experiments.AblationCoLocation() }},
-		{"Ablation: async release", func() fmt.Stringer { return experiments.AblationAsyncRelease(scale) }},
-		{"Ablation: forest size", func() fmt.Stringer { return experiments.AblationForestSize(*folds) }},
-	}
+	fmt.Fprintf(os.Stderr, "Pond reproduction report (scale=%s, seed=%d)\n", scale, *seed)
 	start := time.Now()
-	for _, sec := range sections {
+	for _, d := range defs {
 		t0 := time.Now()
-		out := sec.run()
-		fmt.Println(out)
-		fmt.Printf("[%s took %.1fs]\n\n", sec.name, time.Since(t0).Seconds())
+		fmt.Println(d.Run(scale, opts...))
+		fmt.Fprintf(os.Stderr, "[%s took %.1fs]\n", d.Name, time.Since(t0).Seconds())
 	}
-	fmt.Printf("report complete in %.1fs\n", time.Since(start).Seconds())
+	fmt.Fprintf(os.Stderr, "report complete in %.1fs\n", time.Since(start).Seconds())
 }

@@ -34,12 +34,9 @@ func main() {
 	um := predict.TrainGBMUntouched(ds.X, ds.TrueUntouched, 0.05, 1)
 
 	// Train the latency-insensitivity forest on offline runs.
-	sens := predict.BuildSensitivityDataset(workload.Ratio182, 0.05, 3, 1)
-	rf := predict.TrainForest(sens.X, sens.Insensitive, 1)
-
 	pcfg := core.DefaultConfig()
-	pcfg.InsensScoreThreshold = predict.ThresholdForLabelRate(
-		predict.DatasetScores(rf, sens), 0.30)
+	rf, threshold := predict.TrainBootstrapInsensitivity(workload.Ratio182, 0.05, 1)
+	pcfg.InsensScoreThreshold = threshold
 	pipeline := core.NewPipeline(pcfg, rf, um, nil)
 
 	plan, st := pipeline.PlanTrace(&trace, stats.NewRand(9))

@@ -379,7 +379,7 @@ func TestAblationAsyncRelease(t *testing.T) {
 }
 
 func TestAblationForestSize(t *testing.T) {
-	r := AblationForestSize(2)
+	r := AblationForestSize()
 	if len(r.Trees) != 3 {
 		t.Fatalf("points = %d", len(r.Trees))
 	}

@@ -242,10 +242,7 @@ type AblationForestSizeResult struct {
 }
 
 // AblationForestSize sweeps ensemble sizes at a fixed operating point.
-func AblationForestSize(folds int) AblationForestSizeResult {
-	if folds <= 0 {
-		folds = 6
-	}
+func AblationForestSize() AblationForestSizeResult {
 	ds := predict.BuildSensitivityDataset(workload.Ratio182, 0.05, 2, DefaultSeed)
 	var r AblationForestSizeResult
 	for _, nTrees := range []int{5, 20, 60} {

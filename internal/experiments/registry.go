@@ -51,7 +51,7 @@ func Registry() []Definition {
 		{Name: "finding10", Description: "offlining speed at VM starts", Run: func(s Scale, o ...Option) fmt.Stringer { return Finding10(s, o...) }},
 		{Name: "ablation-async", Description: "pool headroom vs blocked starts", Run: func(s Scale, o ...Option) fmt.Stringer { return AblationAsyncRelease(s, o...) }},
 		{Name: "ablation-znuma", Description: "zNUMA vs interleaving", Run: func(Scale, ...Option) fmt.Stringer { return AblationZNUMA() }},
-		{Name: "ablation-forest", Description: "forest size vs false positives", Run: func(Scale, ...Option) fmt.Stringer { return AblationForestSize(0) }},
+		{Name: "ablation-forest", Description: "forest size vs false positives", Run: func(Scale, ...Option) fmt.Stringer { return AblationForestSize() }},
 		{Name: "ablation-colo", Description: "VMs sharing one CXL port", Run: func(Scale, ...Option) fmt.Stringer { return AblationCoLocation() }},
 		{Name: "counter-audit", Description: "insensitivity counter ranking", Slow: true, Run: func(Scale, ...Option) fmt.Stringer { return CounterAudit(0) }},
 	}
@@ -97,8 +97,10 @@ func frontierFoldsFor(s Scale) int {
 func Lookup(names []string) ([]Definition, error) {
 	reg := Registry()
 	byName := make(map[string]Definition, len(reg))
-	for _, d := range reg {
+	registered := make([]string, len(reg))
+	for i, d := range reg {
 		byName[d.Name] = d
+		registered[i] = d.Name
 	}
 	var out []Definition
 	for _, n := range names {
@@ -108,7 +110,7 @@ func Lookup(names []string) ([]Definition, error) {
 		}
 		d, ok := byName[n]
 		if !ok {
-			return nil, fmt.Errorf("experiments: unknown experiment %q", n)
+			return nil, fmt.Errorf("experiments: unknown experiment %q (registered: %s)", n, strings.Join(registered, ","))
 		}
 		out = append(out, d)
 	}

@@ -303,11 +303,7 @@ func trainInsens(o Options) (predict.Insensitivity, float64) {
 	if o.Model.Disabled {
 		return nil, 0
 	}
-	ratio := cxl.PondLatencyRatio(o.Cluster.Hosts * 2)
-	ds := predict.BuildSensitivityDataset(ratio, qosPDM, 3, o.Engine.Seed)
-	rf := predict.TrainForest(ds.X, ds.Insensitive, o.Engine.Seed)
-	threshold := predict.ThresholdForLabelRate(predict.DatasetScores(rf, ds), 0.30)
-	return rf, threshold
+	return predict.TrainBootstrapInsensitivity(cxl.PondLatencyRatio(o.Cluster.Hosts*2), qosPDM, o.Engine.Seed)
 }
 
 // assembleReport merges the per-cell results — and the fleet pipeline's

@@ -79,6 +79,16 @@ type ForestModel struct {
 	forest *ml.Forest
 }
 
+// TrainBootstrapInsensitivity trains the version-0 insensitivity
+// forest a control plane starts from: three offline samples per
+// catalogue workload at the given latency ratio and PDM, and the score
+// threshold that labels the paper's ~30% of them insensitive.
+func TrainBootstrapInsensitivity(ratio, pdm float64, seed int64) (*ForestModel, float64) {
+	ds := BuildSensitivityDataset(ratio, pdm, 3, seed)
+	rf := TrainForest(ds.X, ds.Insensitive, seed)
+	return rf, ThresholdForLabelRate(DatasetScores(rf, ds), 0.30)
+}
+
 // TrainForest fits the insensitivity forest on a dataset subset.
 func TrainForest(X [][]float64, insensitive []float64, seed int64) *ForestModel {
 	cfg := ml.DefaultForestConfig()

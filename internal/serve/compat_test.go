@@ -118,3 +118,67 @@ func gunzipFile(t *testing.T, path string) []byte {
 	}
 	return data
 }
+
+// TestStateFileHoldsOptionsOnce re-checkpoints the cb61111 fixture,
+// which wrote each run's options at the top level and, for the held
+// run, again inside its snapshot. The file written now is compact JSON
+// and holds each run's options once: the terminal run's at the top
+// level, as the earlier build wrote them, and the held run's in its
+// snapshot only.
+func TestStateFileHoldsOptionsOnce(t *testing.T) {
+	data := gunzipFile(t, filepath.Join("testdata", "state-v2-cb61111.json.gz"))
+	statePath := filepath.Join(t.TempDir(), "state.json")
+	if err := os.WriteFile(statePath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{StatePath: statePath, Log: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, written); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(compact.Bytes(), bytes.TrimSuffix(written, []byte("\n"))) {
+		t.Fatal("state file is not compact JSON")
+	}
+
+	type entry struct {
+		ID       string          `json:"id"`
+		Opts     json.RawMessage `json:"opts"`
+		Snapshot *struct {
+			Opts json.RawMessage `json:"opts"`
+		} `json:"snapshot"`
+	}
+	runs := func(b []byte) map[string]entry {
+		var ck struct {
+			Runs []entry `json:"runs"`
+		}
+		if err := json.Unmarshal(b, &ck); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]entry{}
+		for _, e := range ck.Runs {
+			out[e.ID] = e
+		}
+		return out
+	}
+	same := func(a, b json.RawMessage) bool {
+		var ca, cb bytes.Buffer
+		return json.Compact(&ca, a) == nil && json.Compact(&cb, b) == nil && bytes.Equal(ca.Bytes(), cb.Bytes())
+	}
+	before, after := runs(data), runs(written)
+	if r1 := after["r1"]; r1.Snapshot != nil || !same(r1.Opts, before["r1"].Opts) {
+		t.Fatalf("terminal run r1: opts %s, want the earlier build's %s and no snapshot", r1.Opts, before["r1"].Opts)
+	}
+	if r2 := after["r2"]; r2.Opts != nil || r2.Snapshot == nil || r2.Snapshot.Opts == nil {
+		t.Fatalf("held run r2 writes top-level opts %s (snapshot present: %v); want only its snapshot's", r2.Opts, r2.Snapshot != nil)
+	}
+}

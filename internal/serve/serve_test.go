@@ -754,9 +754,9 @@ func mustGet(t *testing.T, url string) *http.Response {
 
 // TestCheckpointRefusesOtherVersions hand-writes state files the daemon
 // must not guess at — an unversioned (version-1, config-only) file, a
-// future version, and a current-version file whose mid-flight run lost
-// its simulator snapshot — and checks serve.New refuses each with an
-// error naming what it found.
+// future version, and current-version files whose mid-flight run lost
+// its simulator snapshot or whose terminal run lost its options — and
+// checks serve.New refuses each with an error naming what it found.
 func TestCheckpointRefusesOtherVersions(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	opts, err := json.Marshal(tinyOpts())
@@ -774,6 +774,9 @@ func TestCheckpointRefusesOtherVersions(t *testing.T) {
 		{"no-snapshot", map[string]any{"version": checkpointVersion, "next_id": 1,
 			"runs": []any{map[string]any{"id": "r1", "opts": json.RawMessage(opts), "state": StateRunning}}},
 			"no simulator snapshot"},
+		{"no-opts", map[string]any{"version": checkpointVersion, "next_id": 1,
+			"runs": []any{map[string]any{"id": "r1", "state": StateDone}}},
+			"no options"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -831,7 +834,8 @@ func TestStartRejectsBadArrivals(t *testing.T) {
 }
 
 // mustBatchConfig reads a run's checkpointed options back out of the
-// state file.
+// state file: a terminal run's own opts, or a mid-flight run's
+// snapshot opts.
 func mustBatchConfig(t *testing.T, statePath, id string) pond.FleetOpts {
 	t.Helper()
 	var ck checkpointFile
@@ -846,7 +850,13 @@ func mustBatchConfig(t *testing.T, statePath, id string) pond.FleetOpts {
 	for _, r := range ck.Runs {
 		ids = append(ids, r.ID)
 		if r.ID == id {
-			return r.Opts
+			if r.Opts != nil {
+				return *r.Opts
+			}
+			if r.Snapshot == nil {
+				t.Fatalf("run %s has neither opts nor a snapshot", id)
+			}
+			return r.Snapshot.Opts
 		}
 	}
 	sort.Strings(ids)

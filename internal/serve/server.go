@@ -26,10 +26,6 @@ type Config struct {
 	// StatePath is the checkpoint file Shutdown writes and New restores
 	// from; empty disables checkpointing.
 	StatePath string
-	// SliceSec bounds how much simulated time a run advances per lock
-	// hold; 0 derives a per-run slice (1/64 of the horizon) so
-	// injections land promptly without slicing tiny runs to dust.
-	SliceSec float64
 	// Log receives the daemon's structured logs; nil discards them.
 	Log *slog.Logger
 	// RetainDone caps how many terminal (done or failed) runs the
@@ -165,16 +161,14 @@ func (s *Server) startRun(opts pond.FleetOpts, holds []float64) (*Run, error) {
 	return r, nil
 }
 
-// launch starts the driver goroutine for a registered run.
+// launch starts the driver goroutine for a registered run. Every run
+// advances 1/64 of its horizon per lock hold, so injections land
+// promptly without slicing tiny runs to dust.
 func (s *Server) launch(r *Run, horizon float64) {
-	slice := s.cfg.SliceSec
-	if slice <= 0 {
-		slice = horizon / 64
-	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		r.drive(s.ctx, slice)
+		r.drive(s.ctx, horizon/64)
 		snap := r.Snapshot()
 		s.log.Info("run finished", "id", r.ID, "state", snap.State, "events", snap.Events)
 		s.evict()
@@ -505,16 +499,16 @@ type checkpointFile struct {
 	Runs    []checkpointRun `json:"runs"`
 }
 
-// checkpointRun is one run's persisted state: the
-// reproduce-from-scratch configuration (scheduled plus live injections,
-// already folded together by FleetRun.Config) plus the state needed to
-// resume without re-simulation — the pre-park run state, the remaining
-// hold points, the sequenced event buffer (so ?from= streams survive
-// the restart), and either the simulator snapshot (mid-flight runs) or
-// the final report (terminal runs).
+// checkpointRun is one run's persisted state: the pre-park run state,
+// the remaining hold points, the sequenced event buffer (so ?from=
+// streams survive the restart), and either the simulator snapshot
+// (mid-flight runs) or the final report and its reproduce-from-scratch
+// configuration (terminal runs). The configuration — scheduled plus
+// live injections, already folded together by FleetRun.Config — is
+// written once: a mid-flight run's lives in its snapshot's opts.
 type checkpointRun struct {
 	ID       string              `json:"id"`
-	Opts     pond.FleetOpts      `json:"opts"`
+	Opts     *pond.FleetOpts     `json:"opts,omitempty"`
 	State    string              `json:"state,omitempty"`
 	HoldsAt  []float64           `json:"holds_at,omitempty"`
 	Events   []Event             `json:"events,omitempty"`
@@ -534,7 +528,6 @@ func (r *Run) checkpointState() (checkpointRun, error) {
 	defer r.mu.Unlock()
 	cr := checkpointRun{
 		ID:      r.ID,
-		Opts:    r.config,
 		State:   r.state,
 		HoldsAt: append([]float64(nil), r.holds...),
 		Events:  append([]Event(nil), r.events...),
@@ -545,6 +538,8 @@ func (r *Run) checkpointState() (checkpointRun, error) {
 	}
 	switch cr.State {
 	case StateDone, StateFailed:
+		opts := r.config
+		cr.Opts = &opts
 		cr.Report = r.report
 		if r.err != nil {
 			cr.Error = r.err.Error()
@@ -584,7 +579,7 @@ func (s *Server) checkpoint(path string) error {
 		}
 		ck.Runs = append(ck.Runs, cr)
 	}
-	data, err := json.MarshalIndent(ck, "", "  ")
+	data, err := json.Marshal(ck)
 	if err != nil {
 		return err
 	}
@@ -640,10 +635,13 @@ func (s *Server) restore(path string) error {
 // restoreRun rebuilds one checkpointed run.
 func (s *Server) restoreRun(cr checkpointRun) error {
 	if cr.State == StateDone || cr.State == StateFailed {
+		if cr.Opts == nil {
+			return fmt.Errorf("run in state %q has no options", cr.State)
+		}
 		r := &Run{
 			ID:      cr.ID,
 			state:   cr.State,
-			config:  cr.Opts,
+			config:  *cr.Opts,
 			events:  cr.Events,
 			metrics: cr.Metrics,
 			report:  cr.Report,

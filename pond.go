@@ -222,10 +222,7 @@ func NewSystem(cfg Config) (*System, error) {
 	var insens predict.Insensitivity
 	var um predict.Untouched
 	if cfg.UsePredictions {
-		ds := predict.BuildSensitivityDataset(ratio, cfg.PDM, 3, cfg.Seed)
-		rf := predict.TrainForest(ds.X, ds.Insensitive, cfg.Seed)
-		pcfg.InsensScoreThreshold = predict.ThresholdForLabelRate(predict.DatasetScores(rf, ds), 0.30)
-		insens = rf
+		insens, pcfg.InsensScoreThreshold = predict.TrainBootstrapInsensitivity(ratio, cfg.PDM, cfg.Seed)
 		um = predict.HistoryQuantileUM{}
 	}
 	s.pipeline = core.NewPipeline(pcfg, insens, um, s.store)
