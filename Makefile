@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race lint cover bench bench-gate bench-baseline perfbench-test perfpairs fleet plan serve docker docker-smoke soak soak-fleet soak-elastic fuzz golden
+.PHONY: all build vet examples test test-short test-race lint cover bench bench-gate bench-baseline perfbench-test perfpairs fleet plan serve docker docker-smoke soak soak-fleet soak-elastic fuzz golden
 
 all: build vet test-short
 
@@ -12,6 +12,12 @@ vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
+
+# Run every example program. They are pond.System's only end-to-end
+# users, which `go build ./...` compiles but never runs; each exits
+# non-zero on an API error.
+examples:
+	@for d in examples/*/; do echo "$(GO) run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # Full suite: paper-scale fidelity for every figure (slow; the experiment
 # pipelines use every core through the parallel engine).

@@ -78,10 +78,7 @@ func baseOpts() pond.FleetOpts {
 // error. It parses the -arrival and -inject spec strings into the
 // grouped f.opts and returns the parsed topology list on success.
 func validate(f *flags) ([]string, error) {
-	if err := cliutil.ValidateWorkers(f.opts.Engine.Workers); err != nil {
-		return nil, err
-	}
-	if err := cliutil.ValidateSeed(f.opts.Engine.Seed); err != nil {
+	if err := cliutil.ValidateRun(f.opts.Engine.Workers, f.opts.Engine.Seed); err != nil {
 		return nil, err
 	}
 	cl, m, cp := f.opts.Cluster, f.opts.Model, f.opts.Capacity

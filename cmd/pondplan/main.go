@@ -48,10 +48,7 @@ type flags struct {
 // validate rejects bad flag combinations with one readable error and
 // returns the parsed topology list on success.
 func validate(f flags) ([]string, error) {
-	if err := cliutil.ValidateWorkers(f.workers); err != nil {
-		return nil, err
-	}
-	if err := cliutil.ValidateSeed(f.seed); err != nil {
+	if err := cliutil.ValidateRun(f.workers, f.seed); err != nil {
 		return nil, err
 	}
 	if f.duration <= 0 || math.IsNaN(f.duration) || math.IsInf(f.duration, 0) {

@@ -33,7 +33,17 @@ func main() {
 	sweep := flag.String("sweep", "", `scenario matrix to run instead of the figures, e.g. "scale=quick,full x policy=pooled,static"`)
 	flag.Parse()
 
-	cliutil.MustValidateRun("pondreport", *workers, *seed)
+	if err := cliutil.ValidateRun(*workers, *seed); err != nil {
+		cliutil.Fatal("pondreport", err)
+	}
+	if *sweep != "" {
+		// Refuse the explicitly set flags a sweep would ignore.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "figures" || f.Name == "scale" {
+				cliutil.Fatal("pondreport", fmt.Errorf("-%s cannot be combined with -sweep: the sweep's matrix sets the scales and runs no figures", f.Name))
+			}
+		})
+	}
 	scale, err := experiments.ParseScale(*scaleFlag)
 	if err != nil {
 		cliutil.Fatal("pondreport", err)

@@ -74,6 +74,8 @@ func TestBadFlagsExitCode2(t *testing.T) {
 		{"-workers", "-1"},
 		{"-seed", "0"},
 		{"-sweep", "scale=quick x colour=red"},
+		{"-sweep", "scale=tiny x policy=none", "-figures", "4"},
+		{"-sweep", "scale=tiny x policy=none", "-scale", "paper"},
 		{"-folds", "10"},
 	}
 	for _, args := range cases {

@@ -9,13 +9,14 @@ import (
 	"os"
 )
 
-// ValidateWorkers rejects negative worker counts (0 means GOMAXPROCS and
-// stays valid).
-func ValidateWorkers(workers int) error {
+// ValidateRun checks the two flags every engine-driven tool shares: it
+// rejects negative worker counts (0 means GOMAXPROCS and stays valid)
+// and non-positive seeds (ValidateSeed).
+func ValidateRun(workers int, seed int64) error {
 	if workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", workers)
 	}
-	return nil
+	return ValidateSeed(seed)
 }
 
 // ValidateSeed rejects non-positive seeds: every deterministic stream in
@@ -33,15 +34,4 @@ func ValidateSeed(seed int64) error {
 func Fatal(tool string, err error) {
 	fmt.Fprintf(os.Stderr, "%s: %v\nrun '%s -h' for usage\n", tool, err, tool)
 	os.Exit(2)
-}
-
-// MustValidateRun checks the two flags every engine-driven tool shares
-// and exits via Fatal on the first violation.
-func MustValidateRun(tool string, workers int, seed int64) {
-	if err := ValidateWorkers(workers); err != nil {
-		Fatal(tool, err)
-	}
-	if err := ValidateSeed(seed); err != nil {
-		Fatal(tool, err)
-	}
 }

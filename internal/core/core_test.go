@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -273,32 +272,6 @@ func TestQoSMonitorFullyPooledSensitiveMitigates(t *testing.T) {
 	q = NewQoSMonitor(cfg, fixedScore(0.9))
 	if v := q.Check(p, 8, pmu.Vector{}); v.NeedsMitigation {
 		t.Fatalf("insensitive all-pool verdict = %+v", v)
-	}
-}
-
-func TestMitigationManagerAppliesReconfiguration(t *testing.T) {
-	spec := cluster.ServerSpec{Sockets: 2, CoresPerSock: 24, MemGBPerSock: 192}
-	h := host.New(1, spec, host.Config{})
-	h.AddPoolCapacity(8)
-	vm := testVM(42, 1, 16, "505.mcf_r")
-	if _, err := h.PlaceVM(vm, 8, 8, nil); err != nil {
-		t.Fatal(err)
-	}
-	m := NewMitigationManager(h)
-	ran, dur, err := m.Apply(42, QoSVerdict{NeedsMitigation: true})
-	if err != nil || !ran {
-		t.Fatalf("apply = %v %v", ran, err)
-	}
-	if math.Abs(dur-8*host.ReconfigSecPerGB) > 1e-9 {
-		t.Fatalf("duration = %v", dur)
-	}
-	if m.Mitigations() != 1 || m.CopySeconds() != dur {
-		t.Fatal("counters wrong")
-	}
-	// A no-mitigation verdict is a no-op.
-	ran, _, err = m.Apply(42, QoSVerdict{})
-	if ran || err != nil {
-		t.Fatal("no-op verdict ran")
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"pond/internal/cluster"
 	"pond/internal/host"
 	"pond/internal/pmu"
 	"pond/internal/predict"
@@ -25,8 +24,8 @@ type QoSVerdict struct {
 
 // QoSMonitor implements the runtime monitoring flow (B1-B3 in Figure 11):
 // it inspects hypervisor and hardware counters for every running VM and
-// asks the mitigation manager to reconfigure VMs whose performance impact
-// exceeds the PDM.
+// flags the VMs whose performance impact exceeds the PDM for the
+// scheduler's one-time mitigation (ClusterScheduler.Reconfigure).
 type QoSMonitor struct {
 	cfg    Config
 	insens predict.Insensitivity
@@ -63,37 +62,3 @@ func (q *QoSMonitor) Check(p *host.Placement, committedGB float64, counters pmu.
 	}
 	return v
 }
-
-// MitigationManager applies verdicts to a host (B2-B3): it triggers the
-// hypervisor's one-time reconfiguration and tallies activity.
-type MitigationManager struct {
-	host        *host.Host
-	mitigations int
-	copySeconds float64
-}
-
-// NewMitigationManager wraps a host.
-func NewMitigationManager(h *host.Host) *MitigationManager {
-	return &MitigationManager{host: h}
-}
-
-// Apply reconfigures the VM when the verdict requires it. It returns
-// whether a mitigation ran and the copy duration in seconds.
-func (m *MitigationManager) Apply(id cluster.VMID, v QoSVerdict) (bool, float64, error) {
-	if !v.NeedsMitigation {
-		return false, 0, nil
-	}
-	dur, _, err := m.host.Reconfigure(id)
-	if err != nil {
-		return false, 0, err
-	}
-	m.mitigations++
-	m.copySeconds += dur
-	return true, dur, nil
-}
-
-// Mitigations returns how many reconfigurations ran.
-func (m *MitigationManager) Mitigations() int { return m.mitigations }
-
-// CopySeconds returns the total time spent copying pool memory to local.
-func (m *MitigationManager) CopySeconds() float64 { return m.copySeconds }

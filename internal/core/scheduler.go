@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pond/internal/cluster"
 	"pond/internal/emc"
@@ -84,49 +85,143 @@ type Migration struct {
 	Target int
 }
 
-// DrainHost marks a host drained and live-migrates its resident VMs to
-// hosts with all-local headroom, releasing their pool slices back to the
-// manager. VMs that fit nowhere stay put and are returned as remaining.
-// Migration proceeds in VM-id order so a seed fully determines the
-// outcome.
+// DrainHost marks a host drained and live-migrates its resident VMs
+// (Migrate) in VM-id order, so a seed fully determines the outcome. VMs
+// that fit nowhere stay put and are returned as remaining.
 func (cs *ClusterScheduler) DrainHost(hostIndex int, now float64) (migrations []Migration, remaining []cluster.VMID, err error) {
 	if err := cs.SetDrained(hostIndex, true); err != nil {
 		return nil, nil, err
 	}
-	src := cs.hosts[hostIndex]
-	ids := src.VMs()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := cs.hosts[hostIndex].VMs()
+	slices.Sort(ids)
 	for _, id := range ids {
-		p, ok := src.Placement(id)
-		if !ok {
+		target, _, merr := cs.Migrate(hostIndex, id, now)
+		if merr != nil {
+			remaining = append(remaining, id)
 			continue
 		}
-		moved := false
-		for t, h := range cs.hosts {
-			if t == hostIndex || cs.drained[t] {
-				continue
-			}
-			if h.FreeCores() < p.VM.Type.Cores || h.FreeLocalGB() < p.VM.Type.MemoryGB {
-				continue
-			}
-			_, slices, merr := host.LiveMigrate(src, h, id)
-			if merr != nil {
-				// Aggregate capacity fit but no single NUMA node did;
-				// keep trying the remaining hosts.
-				continue
-			}
-			if len(slices) > 0 && cs.manager != nil {
-				cs.manager.ReleaseCapacity(emc.HostID(hostIndex), slices, now)
-			}
-			migrations = append(migrations, Migration{VM: id, Target: t})
-			moved = true
-			break
-		}
-		if !moved {
-			remaining = append(remaining, id)
-		}
+		migrations = append(migrations, Migration{VM: id, Target: target})
 	}
 	return migrations, remaining, nil
+}
+
+// Migrate live-migrates one VM to the first other host, in index order,
+// that is not drained, has the cores and local memory for the whole VM,
+// and accepts it with an all-local placement (§6.4); the VM's pool
+// slices return to the Pool Manager. It returns the target host and the
+// copy time, or ErrNoHost when no host takes the VM.
+func (cs *ClusterScheduler) Migrate(hostIndex int, id cluster.VMID, now float64) (target int, copySec float64, err error) {
+	if hostIndex < 0 || hostIndex >= len(cs.hosts) {
+		return -1, 0, fmt.Errorf("core: host index %d out of range", hostIndex)
+	}
+	src := cs.hosts[hostIndex]
+	p, ok := src.Placement(id)
+	if !ok {
+		return -1, 0, fmt.Errorf("core: migrate: %w: %d", host.ErrUnknownVM, id)
+	}
+	vm := p.VM
+	for t, h := range cs.hosts {
+		if t == hostIndex || cs.drained[t] {
+			continue
+		}
+		if h.FreeCores() < vm.Type.Cores || h.FreeLocalGB() < vm.Type.MemoryGB {
+			continue
+		}
+		dur, refs, merr := host.LiveMigrate(src, h, id)
+		if merr != nil {
+			// Aggregate capacity fit but no single NUMA node did;
+			// keep trying the remaining hosts.
+			continue
+		}
+		cs.release(hostIndex, refs, now)
+		return t, dur, nil
+	}
+	return -1, 0, ErrNoHost
+}
+
+// Reconfigure runs the one-time QoS mitigation (§4.2, Figure 13 B) on a
+// VM: the host copies its pool memory into local DRAM, then offlines the
+// freed capacity and returns the slices to the Pool Manager. It returns
+// the copy time; a host without the local headroom refuses with
+// host.ErrNoCapacity, and Migrate is the fallback.
+func (cs *ClusterScheduler) Reconfigure(hostIndex int, id cluster.VMID, now float64) (copySec float64, err error) {
+	if hostIndex < 0 || hostIndex >= len(cs.hosts) {
+		return 0, fmt.Errorf("core: host index %d out of range", hostIndex)
+	}
+	dur, refs, err := cs.hosts[hostIndex].Reconfigure(id)
+	if err != nil {
+		return 0, err
+	}
+	return dur, cs.giveBack(hostIndex, refs, refs, now)
+}
+
+// FailEMC fails one EMC (§4.2) and releases every VM with a slice on it
+// — the failure's blast radius — in VM-id order. Each VM's pool capacity
+// goes offline on its host; its slices on the failed device are lost,
+// and those on healthy EMCs return to the Pool Manager. It hands back
+// the released placements in that order.
+func (cs *ClusterScheduler) FailEMC(emcIndex int, now float64) ([]*host.Placement, error) {
+	if cs.manager == nil {
+		return nil, fmt.Errorf("core: no pool manager to fail EMC %d in", emcIndex)
+	}
+	if err := cs.manager.FailEMC(emcIndex); err != nil {
+		return nil, err
+	}
+	type resident struct {
+		host int
+		vm   cluster.VMID
+	}
+	var blast []resident
+	for i, h := range cs.hosts {
+		h.EachPlacement(func(p *host.Placement) {
+			for _, ref := range p.Slices {
+				if ref.EMC == emcIndex {
+					blast = append(blast, resident{host: i, vm: p.VM.ID})
+					return
+				}
+			}
+		})
+	}
+	slices.SortFunc(blast, func(a, b resident) int { return cmp.Compare(a.vm, b.vm) })
+	released := make([]*host.Placement, 0, len(blast))
+	var alive []pool.SliceRef
+	for _, r := range blast {
+		p, err := cs.hosts[r.host].ReleaseVM(r.vm)
+		if err != nil {
+			return released, err
+		}
+		released = append(released, p)
+		alive = alive[:0]
+		for _, ref := range p.Slices {
+			if ref.EMC != emcIndex {
+				alive = append(alive, ref)
+			}
+		}
+		if err := cs.giveBack(r.host, p.Slices, alive, now); err != nil {
+			return released, fmt.Errorf("core: offline vm %d: %w", r.vm, err)
+		}
+	}
+	return released, nil
+}
+
+// giveBack offlines a VM's pool slices (held) on its host and returns
+// the ones still backed by a healthy EMC (alive) to the Pool Manager.
+func (cs *ClusterScheduler) giveBack(hostIndex int, held, alive []pool.SliceRef, now float64) error {
+	if err := cs.hosts[hostIndex].RemovePoolCapacity(float64(len(held))); err != nil {
+		return err
+	}
+	cs.release(hostIndex, alive, now)
+	return nil
+}
+
+// release hands slices a host has already offlined to the Pool Manager
+// for asynchronous release. An empty list makes no call: each call
+// re-sorts the manager's pending releases, whose equal offline times it
+// may reorder.
+func (cs *ClusterScheduler) release(hostIndex int, refs []pool.SliceRef, now float64) {
+	if len(refs) > 0 && cs.manager != nil {
+		cs.manager.ReleaseCapacity(emc.HostID(hostIndex), refs, now)
+	}
 }
 
 // PlaceResult reports where a VM landed.
@@ -193,11 +288,9 @@ func (cs *ClusterScheduler) Place(vm cluster.VMRequest, d Decision, now float64)
 
 	p, err := cs.hosts[res.HostIndex].PlaceVM(vm, localGB, poolGB, slices)
 	if err != nil {
-		// Undo the pool grant before surfacing the error.
-		if len(slices) > 0 {
-			_ = cs.hosts[res.HostIndex].RemovePoolCapacity(float64(len(slices)))
-			cs.manager.ReleaseCapacity(emc.HostID(res.HostIndex), slices, now)
-		}
+		// Undo the pool grant before surfacing the error; the grant was
+		// just onlined unused, so offlining it cannot fail.
+		_ = cs.giveBack(res.HostIndex, slices, slices, now)
 		return res, err
 	}
 	res.Placement = p
@@ -218,13 +311,8 @@ func (cs *ClusterScheduler) Release(hostIndex int, id cluster.VMID, now float64)
 	if err != nil {
 		return nil, err
 	}
-	if len(p.Slices) > 0 {
-		if err := cs.hosts[hostIndex].RemovePoolCapacity(float64(len(p.Slices))); err != nil {
-			return nil, err
-		}
-		if cs.manager != nil {
-			cs.manager.ReleaseCapacity(emc.HostID(hostIndex), p.Slices, now)
-		}
+	if err := cs.giveBack(hostIndex, p.Slices, p.Slices, now); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"pond/internal/cluster"
@@ -249,5 +250,166 @@ func TestDrainHostTriesAllCandidates(t *testing.T) {
 	}
 	if len(migrations) != 1 || migrations[0].VM != 1 || migrations[0].Target != 2 {
 		t.Fatalf("migrations = %+v, want VM 1 -> host 2", migrations)
+	}
+}
+
+func TestFailEMCReleasesBlastRadiusInIDOrder(t *testing.T) {
+	spec := cluster.ServerSpec{Sockets: 2, CoresPerSock: 8, MemGBPerSock: 64}
+	hs := []*host.Host{host.New(0, spec, host.Config{}), host.New(1, spec, host.Config{})}
+	devs := []*emc.Device{emc.NewDevice("emc0", 16, 2), emc.NewDevice("emc1", 16, 2)}
+	pm := pool.NewManager(devs, stats.NewRand(1))
+	cs := NewClusterScheduler(hs, pm)
+	// Eight-core VMs fill one socket each, so tight packing puts VMs 3
+	// and 1 on host 0 and VMs 2 and 4 on host 1. The grants fill from
+	// the EMC with the most free slices: VM 3 takes 4 GB of emc0, VM 1
+	// all 16 GB of emc1 and 4 more of emc0, VM 2 4 GB of emc0.
+	for _, v := range []struct {
+		id            cluster.VMID
+		local, pooled float64
+	}{{3, 28, 4}, {1, 20, 20}, {2, 12, 4}, {4, 16, 0}} {
+		d := Decision{Kind: ZNUMA, LocalGB: v.local, PoolGB: v.pooled}
+		if v.pooled == 0 {
+			d.Kind = AllLocal
+		}
+		if _, err := cs.Place(schedVM(v.id, 8, v.local+v.pooled, "P5-web"), d, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	released, err := cs.FailEMC(0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []cluster.VMID
+	for _, p := range released {
+		ids = append(ids, p.VM.ID)
+	}
+	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
+		t.Fatalf("released VMs %v, want [1 2 3]", ids)
+	}
+	if !devs[0].Failed() {
+		t.Fatal("emc0 not failed")
+	}
+	for i, h := range hs {
+		if h.OnlinePoolGB() != 0 {
+			t.Fatalf("host %d keeps %g GB of pool online", i, h.OnlinePoolGB())
+		}
+	}
+	if _, ok := hs[1].Placement(4); !ok {
+		t.Fatal("all-local VM 4 lost to the EMC failure")
+	}
+	// Only VM 1's 16 slices on the healthy emc1 drain back; emc0's are
+	// gone with the device.
+	if got := pm.PendingGB(10); got != 16 {
+		t.Fatalf("pending release = %d GB, want 16", got)
+	}
+	if got := pm.FreeGB(11); got != 16 {
+		t.Fatalf("free after the offline = %d GB, want 16", got)
+	}
+
+	if _, err := cs.FailEMC(2, 10); err == nil {
+		t.Fatal("out-of-range EMC accepted")
+	}
+	if _, err := cs.FailEMC(-1, 10); err == nil {
+		t.Fatal("negative EMC accepted")
+	}
+	noPool, _ := newTestScheduler(t, 1, 0)
+	if _, err := noPool.FailEMC(0, 0); err == nil {
+		t.Fatal("EMC failure without a pool manager accepted")
+	}
+}
+
+func TestMigrateTriesNextHost(t *testing.T) {
+	// Host 1 fits the 12 GB VM in aggregate (8+8 free) but on no single
+	// NUMA node, so LiveMigrate refuses it; host 2 has a whole node free.
+	cs, pm := newTestScheduler(t, 3, 64)
+	hs := cs.Hosts()
+	res, err := pm.AddCapacity(0, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs[0].AddPoolCapacity(4)
+	if _, err := hs[0].PlaceVM(schedVM(1, 1, 12, "P5-web"), 8, 4, res.Slices); err != nil {
+		t.Fatal(err)
+	}
+	for _, fill := range []cluster.VMID{10, 11} {
+		if _, err := hs[1].PlaceVM(schedVM(fill, 1, 56, "P5-web"), 56, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := hs[2].PlaceVM(schedVM(12, 1, 56, "P5-web"), 56, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	target, copySec, err := cs.Migrate(0, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if target != 2 || math.Abs(copySec-12*host.ReconfigSecPerGB) > 1e-9 {
+		t.Fatalf("migrated to host %d in %g s, want host 2 in %g s", target, copySec, 12*host.ReconfigSecPerGB)
+	}
+	if p, ok := hs[2].Placement(1); !ok || p.PoolGB != 0 || p.Slices != nil {
+		t.Fatalf("target placement = %+v, want all-local", p)
+	}
+	if hs[0].OnlinePoolGB() != 0 {
+		t.Fatal("source host kept the VM's pool capacity online")
+	}
+	if got := pm.PendingGB(5); got != 4 {
+		t.Fatalf("pending release = %d GB, want the VM's 4", got)
+	}
+
+	// Nowhere left to go: host 0 is drained and host 1 still fits no
+	// node.
+	if err := cs.SetDrained(0, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cs.Migrate(2, 1, 6); !errors.Is(err, ErrNoHost) {
+		t.Fatalf("err = %v, want ErrNoHost", err)
+	}
+	if _, _, err := cs.Migrate(2, 99, 6); !errors.Is(err, host.ErrUnknownVM) {
+		t.Fatalf("unknown VM: err = %v, want host.ErrUnknownVM", err)
+	}
+	if _, _, err := cs.Migrate(3, 1, 6); err == nil {
+		t.Fatal("out-of-range host accepted")
+	}
+}
+
+func TestReconfigureReturnsSlicesOnce(t *testing.T) {
+	cs, pm := newTestScheduler(t, 1, 64)
+	res, err := cs.Place(schedVM(1, 2, 16, "505.mcf_r"), Decision{Kind: ZNUMA, LocalGB: 8, PoolGB: 8}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copySec, err := cs.Reconfigure(res.HostIndex, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(copySec-8*host.ReconfigSecPerGB) > 1e-9 {
+		t.Fatalf("copy = %g s, want %g", copySec, 8*host.ReconfigSecPerGB)
+	}
+	h := cs.Hosts()[res.HostIndex]
+	p, _ := h.Placement(1)
+	if p.PoolGB != 0 || len(p.Slices) != 0 {
+		t.Fatalf("placement after reconfiguration = %+v, want no pool memory and no slices", p)
+	}
+	if h.OnlinePoolGB() != 0 {
+		t.Fatalf("host keeps %g GB of pool online", h.OnlinePoolGB())
+	}
+	if got := pm.PendingGB(5); got != 8 {
+		t.Fatalf("pending release = %d GB, want 8", got)
+	}
+	// The slices left with the reconfiguration: stopping the VM returns
+	// nothing more.
+	if _, err := cs.Release(res.HostIndex, 1, 5); err != nil {
+		t.Fatalf("release after reconfiguration: %v", err)
+	}
+	if got := pm.PendingGB(5); got != 8 {
+		t.Fatalf("pending release after stop = %d GB, want 8", got)
+	}
+	if _, err := cs.Reconfigure(5, 1, 5); err == nil {
+		t.Fatal("out-of-range host accepted")
+	}
+	if _, err := cs.Reconfigure(res.HostIndex, 1, 5); !errors.Is(err, host.ErrUnknownVM) {
+		t.Fatalf("stopped VM: err = %v, want host.ErrUnknownVM", err)
 	}
 }

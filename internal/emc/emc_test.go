@@ -538,3 +538,62 @@ func TestRecoverPreservesRetirement(t *testing.T) {
 		t.Fatalf("free = %d after recover", d.FreeSlices())
 	}
 }
+
+func TestRequestWalkerEndToEnd(t *testing.T) {
+	dev := NewDevice("emc0", 8, 4)
+	hdm := NewHDMDecoder(2, dev, 1<<40)
+	rw := NewRequestWalker(dev, hdm, NewChannelMap(6))
+
+	// Assign and online slice 3 for host 2.
+	if err := dev.Assign(3, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := hdm.Online(3); err != nil {
+		t.Fatal(err)
+	}
+	addr := hdm.SliceAddr(3) + 4096
+	res, err := rw.Walk(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Slice != 3 {
+		t.Fatalf("walked to slice %d", res.Slice)
+	}
+	if res.Channel < 0 || res.Channel >= 6 {
+		t.Fatalf("channel %d out of range", res.Channel)
+	}
+	// Consecutive granules rotate channels.
+	res2, err := rw.Walk(addr + InterleaveGranuleBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Channel == res.Channel {
+		t.Fatal("interleaving not applied")
+	}
+}
+
+func TestRequestWalkerRejections(t *testing.T) {
+	dev := NewDevice("emc0", 8, 4)
+	hdm := NewHDMDecoder(2, dev, 1<<40)
+	rw := NewRequestWalker(dev, hdm, NewChannelMap(6))
+
+	// Outside the window.
+	if _, err := rw.Walk(1 << 39); err == nil {
+		t.Fatal("out-of-window access accepted")
+	}
+	// In the window, but offline.
+	if _, err := rw.Walk(hdm.SliceAddr(0)); err == nil {
+		t.Fatal("offline slice access accepted")
+	}
+	// Online but owned by another host: fatal memory error.
+	if err := dev.Assign(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := hdm.Online(1); err != nil {
+		t.Fatal(err)
+	}
+	var fatal *FatalMemoryError
+	if _, err := rw.Walk(hdm.SliceAddr(1)); !errors.As(err, &fatal) {
+		t.Fatalf("foreign access = %v, want fatal memory error", err)
+	}
+}

@@ -357,28 +357,24 @@ type Finding10Result struct {
 	MaxRateGBs    float64
 }
 
-// Finding10 drives a Pool Manager with a trace-derived start/stop load
-// (static 30% pool allocations) and measures the offline throughput each
-// VM start depended on.
-func Finding10(scale Scale, opts ...Option) Finding10Result {
-	rc := newRunConfig(opts)
-	cfg := scale.genConfig(rc)
-	cfg.Clusters = 1
-	tr := cluster.Generate(cfg)[0]
-
-	// Pool sized like a 16-socket Pond group with a ~30% provision.
-	poolGB := int(tr.TotalClusterMemGB() * 0.30)
+// replayLeases drives a bare Pool Manager over one EMC of poolGB with a
+// trace's VM starts and stops: VM i leases 30% of its memory, rounded
+// down to whole GB, from host i%64 at arrival and releases it
+// asynchronously at departure; a VM whose share rounds to 0 leases
+// nothing. start sees each lease request's result, where an error means
+// the pool was exhausted and the VM runs all-local. It returns the
+// manager.
+func replayLeases(vms []cluster.VMRequest, poolGB int, seed int64, start func(pool.AddResult, error)) *pool.Manager {
 	device := emc.NewDevice("emc0", poolGB, 64)
-	pm := pool.NewManager([]*emc.Device{device}, stats.NewRand(rc.Seed))
-
+	pm := pool.NewManager([]*emc.Device{device}, stats.NewRand(seed))
 	type lease struct {
 		end  float64
 		host emc.HostID
 		refs []pool.SliceRef
 	}
 	var live []lease
-	for i := range tr.VMs {
-		vm := &tr.VMs[i]
+	for i := range vms {
+		vm := &vms[i]
 		now := vm.ArrivalSec
 		// Expire departed leases first (asynchronous release).
 		keep := live[:0]
@@ -396,11 +392,25 @@ func Finding10(scale Scale, opts ...Option) Finding10Result {
 		}
 		h := emc.HostID(i % 64)
 		res, err := pm.AddCapacity(h, gb, now)
-		if err != nil {
-			continue // pool exhausted; VM falls back to all-local
+		start(res, err)
+		if err == nil {
+			live = append(live, lease{end: vm.DepartureSec(), host: h, refs: res.Slices})
 		}
-		live = append(live, lease{end: vm.DepartureSec(), host: h, refs: res.Slices})
 	}
+	return pm
+}
+
+// Finding10 drives a Pool Manager with a trace-derived start/stop load
+// (static 30% pool allocations) and measures the offline throughput each
+// VM start depended on.
+func Finding10(scale Scale, opts ...Option) Finding10Result {
+	rc := newRunConfig(opts)
+	cfg := scale.genConfig(rc)
+	cfg.Clusters = 1
+	tr := cluster.Generate(cfg)[0]
+
+	// Pool sized like a 16-socket Pond group with a ~30% provision.
+	pm := replayLeases(tr.VMs, int(tr.TotalClusterMemGB()*0.30), rc.Seed, func(pool.AddResult, error) {})
 
 	rates := pm.StartRates()
 	sort.Float64s(rates)
@@ -451,44 +461,16 @@ func AblationAsyncRelease(scale Scale, opts ...Option) AblationAsyncReleaseResul
 	factors := []float64{0.02, 0.05, 0.10, 0.30}
 	type outcome struct{ waitFrac, fallbackFrac float64 }
 	outcomes := fanOut(rc, factors, func(_ int, factor float64) outcome {
-		poolGB := int(tr.TotalClusterMemGB() * factor)
-		device := emc.NewDevice("emc0", poolGB, 64)
-		pm := pool.NewManager([]*emc.Device{device}, stats.NewRand(rc.Seed))
-		type lease struct {
-			end  float64
-			host emc.HostID
-			refs []pool.SliceRef
-		}
-		var live []lease
 		waited, fallback, total := 0, 0, 0
-		for i := range tr.VMs {
-			vm := &tr.VMs[i]
-			now := vm.ArrivalSec
-			keep := live[:0]
-			for _, l := range live {
-				if l.end <= now {
-					pm.ReleaseCapacity(l.host, l.refs, l.end)
-				} else {
-					keep = append(keep, l)
-				}
-			}
-			live = keep
-			gb := int(vm.Type.MemoryGB * 0.30)
-			if gb == 0 {
-				continue
-			}
+		replayLeases(tr.VMs, int(tr.TotalClusterMemGB()*factor), rc.Seed, func(res pool.AddResult, err error) {
 			total++
-			h := emc.HostID(i % 64)
-			res, err := pm.AddCapacity(h, gb, now)
-			if err != nil {
+			switch {
+			case err != nil:
 				fallback++ // pool exhausted: the VM runs all-local
-				continue
-			}
-			if res.WaitedSec > 0 {
+			case res.WaitedSec > 0:
 				waited++
 			}
-			live = append(live, lease{end: vm.DepartureSec(), host: h, refs: res.Slices})
-		}
+		})
 		if total == 0 {
 			total = 1
 		}

@@ -1194,48 +1194,22 @@ func (c *cellSim) runUntil(tEnd float64, final bool) error {
 			inj := o.Injections[ev.idx]
 			switch inj.kind {
 			case InjectEMCFail:
-				c.devices[inj.emc].Fail()
-				// Blast radius: every running VM with slices on the dead
-				// device, released in id order.
-				var blast []cluster.VMID
-				for id, st := range c.running {
-					for _, ref := range hostSlices(c.hosts[st.host], id) {
-						if ref.EMC == inj.emc {
-							blast = append(blast, id)
-							break
-						}
-					}
-				}
-				sort.Slice(blast, func(i, j int) bool { return blast[i] < blast[j] })
+				blast, ferr := c.sched.FailEMC(inj.emc, now)
 				lostGB := 0.0
-				for _, id := range blast {
+				for _, p := range blast {
+					id := p.VM.ID
 					st := c.running[id]
 					delete(c.running, id)
-					p, rerr := c.hosts[st.host].ReleaseVM(id)
-					if rerr != nil {
-						return fmt.Errorf("cell %d: blast release vm %d: %w", c.cell, id, rerr)
-					}
 					lostGB += p.VM.Type.MemoryGB
-					// Slices on the failed device are gone; survivors on
-					// other EMCs drain back through the manager.
-					var alive []pool.SliceRef
-					for _, ref := range p.Slices {
-						if ref.EMC != inj.emc {
-							alive = append(alive, ref)
-						}
-					}
-					if err := c.hosts[st.host].RemovePoolCapacity(float64(len(p.Slices))); err != nil {
-						return fmt.Errorf("cell %d: blast offline vm %d: %w", c.cell, id, err)
-					}
-					if len(alive) > 0 {
-						c.manager.ReleaseCapacity(emc.HostID(st.host), alive, now)
-					}
 					c.store.ForgetVM(id)
 					if obsv := c.observer(); obsv != nil {
 						obsv.ForgetVM(id)
 					}
 					c.hosts[st.host].RecyclePlacement(p)
 					c.freeRunningVM(st)
+				}
+				if ferr != nil {
+					return fmt.Errorf("cell %d: emc-fail: %w", c.cell, ferr)
 				}
 				c.res.BlastVMs += len(blast)
 				c.logf(now, "inject emc-fail emc=%d blast-hosts=%d blast-vms=%d lost-gb=%g",
@@ -1375,12 +1349,4 @@ func (c *cellSim) finish() (CellResult, string, error) {
 	}
 	c.res.Compacted = c.compacted
 	return c.res, log, nil
-}
-
-// hostSlices returns a VM's pool slices on its host (nil when unknown).
-func hostSlices(h *host.Host, id cluster.VMID) []pool.SliceRef {
-	if p, ok := h.Placement(id); ok {
-		return p.Slices
-	}
-	return nil
 }

@@ -293,21 +293,23 @@ func (h *Host) ReleaseVM(id cluster.VMID) (*Placement, error) {
 
 // Reconfigure performs the one-time mitigation (§4.2): if local memory is
 // available, the hypervisor disables the accelerator, copies the VM's
-// pool memory into local DRAM, and re-enables acceleration. It returns
-// the copy duration (~50 ms/GB) and the freed pool capacity.
-func (h *Host) Reconfigure(id cluster.VMID) (durationSec, freedPoolGB float64, err error) {
+// pool memory into local DRAM, and re-enables acceleration. The freed
+// pool memory stays online in the partition. It returns the copy
+// duration (~50 ms/GB) and the VM's pool slices, which the placement no
+// longer lists, for the caller to offline and release.
+func (h *Host) Reconfigure(id cluster.VMID) (durationSec float64, slices []pool.SliceRef, err error) {
 	p, ok := h.vms[id]
 	if !ok {
-		return 0, 0, fmt.Errorf("%w: %d", ErrUnknownVM, id)
+		return 0, nil, fmt.Errorf("%w: %d", ErrUnknownVM, id)
 	}
 	if p.Reconfigured {
-		return 0, 0, fmt.Errorf("host: VM %d already reconfigured; the mitigation is one-time", id)
+		return 0, nil, fmt.Errorf("host: VM %d already reconfigured; the mitigation is one-time", id)
 	}
 	if p.PoolGB == 0 {
-		return 0, 0, nil
+		return 0, nil, nil
 	}
 	if h.nodes[p.Node].memFreeGB < p.PoolGB {
-		return 0, 0, fmt.Errorf("%w: reconfiguration needs %g GB local", ErrNoCapacity, p.PoolGB)
+		return 0, nil, fmt.Errorf("%w: reconfiguration needs %g GB local", ErrNoCapacity, p.PoolGB)
 	}
 	moved := p.PoolGB
 	p.AccelEnabled = false
@@ -320,7 +322,8 @@ func (h *Host) Reconfigure(id cluster.VMID) (durationSec, freedPoolGB float64, e
 		p.Topology = NewTopology(p.VM.Type.Cores, p.LocalGB, 0, h.cfg.PoolLatencyRatio)
 	}
 	p.AccelEnabled = true
-	return moved * ReconfigSecPerGB, moved, nil
+	slices, p.Slices = p.Slices, nil
+	return moved * ReconfigSecPerGB, slices, nil
 }
 
 // Placement returns the placement of a VM.
@@ -336,6 +339,15 @@ func (h *Host) VMs() []cluster.VMID {
 		out = append(out, id)
 	}
 	return out
+}
+
+// EachPlacement calls fn with every resident VM's placement, in no
+// particular order, without copying the list. fn must not place or
+// release VMs on this host.
+func (h *Host) EachPlacement(fn func(*Placement)) {
+	for _, p := range h.vms {
+		fn(p)
+	}
 }
 
 // FreeCores returns total free cores across nodes.
@@ -387,19 +399,4 @@ func (h *Host) GuestCommittedGB(id cluster.VMID) (float64, error) {
 		touched = p.VM.Type.MemoryGB
 	}
 	return touched, nil
-}
-
-// VMsOnSlices returns VMs whose pool memory intersects the given EMC
-// index — the blast radius of that EMC's failure.
-func (h *Host) VMsOnSlices(emcIndex int) []cluster.VMID {
-	var out []cluster.VMID
-	for id, p := range h.vms {
-		for _, ref := range p.Slices {
-			if ref.EMC == emcIndex {
-				out = append(out, id)
-				break
-			}
-		}
-	}
-	return out
 }

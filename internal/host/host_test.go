@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pond/internal/cluster"
+	"pond/internal/emc"
 	"pond/internal/pool"
 	"pond/internal/stats"
 	"pond/internal/workload"
@@ -150,22 +151,30 @@ func TestReleaseVM(t *testing.T) {
 func TestReconfigure(t *testing.T) {
 	h := newHost()
 	h.AddPoolCapacity(16)
-	if _, err := h.PlaceVM(testVM(1, 4, 32), 16, 16, nil); err != nil {
+	refs := make([]pool.SliceRef, 16)
+	for i := range refs {
+		refs[i] = pool.SliceRef{EMC: i % 2, Slice: emc.SliceID(i)}
+	}
+	if _, err := h.PlaceVM(testVM(1, 4, 32), 16, 16, refs); err != nil {
 		t.Fatal(err)
 	}
 	dur, freed, err := h.Reconfigure(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if freed != 16 {
-		t.Fatalf("freed = %g, want 16", freed)
+	if len(freed) != 16 || freed[15] != refs[15] {
+		t.Fatalf("freed slices = %v, want the placement's 16", freed)
+	}
+	// The freed pool memory stays online, unused, until offlined.
+	if h.FreePoolGB() != 16 || h.OnlinePoolGB() != 16 {
+		t.Fatalf("pool free/online = %g/%g, want 16/16", h.FreePoolGB(), h.OnlinePoolGB())
 	}
 	// 50 ms per GB of pool memory.
 	if dur != 16*ReconfigSecPerGB {
 		t.Fatalf("duration = %v, want %v", dur, 16*ReconfigSecPerGB)
 	}
 	p, _ := h.Placement(1)
-	if p.PoolGB != 0 || p.LocalGB != 32 {
+	if p.PoolGB != 0 || p.LocalGB != 32 || p.Slices != nil {
 		t.Fatalf("post-reconfig placement = %+v", p)
 	}
 	if !p.AccelEnabled {
@@ -207,7 +216,7 @@ func TestReconfigureAllLocalNoop(t *testing.T) {
 	h := newHost()
 	h.PlaceVM(testVM(1, 2, 8), 8, 0, nil)
 	dur, freed, err := h.Reconfigure(1)
-	if err != nil || dur != 0 || freed != 0 {
+	if err != nil || dur != 0 || freed != nil {
 		t.Fatalf("all-local reconfig = %v %v %v", dur, freed, err)
 	}
 }
@@ -277,18 +286,6 @@ func TestGuestCommittedOverestimates(t *testing.T) {
 	}
 	if _, err := h.GuestCommittedGB(99); !errors.Is(err, ErrUnknownVM) {
 		t.Fatalf("unknown VM = %v", err)
-	}
-}
-
-func TestVMsOnSlicesBlastRadius(t *testing.T) {
-	h := newHost()
-	h.AddPoolCapacity(16)
-	h.PlaceVM(testVM(1, 2, 8), 4, 4, []pool.SliceRef{{EMC: 0, Slice: 0}})
-	h.PlaceVM(testVM(2, 2, 8), 4, 4, []pool.SliceRef{{EMC: 1, Slice: 0}})
-	h.PlaceVM(testVM(3, 2, 8), 8, 0, nil)
-	hit := h.VMsOnSlices(0)
-	if len(hit) != 1 || hit[0] != 1 {
-		t.Fatalf("blast radius of EMC 0 = %v, want [1]", hit)
 	}
 }
 

@@ -337,6 +337,16 @@ func (m *Manager) GrowEMC(di, gb int) error {
 	return m.emcs[di].Grow(gb)
 }
 
+// FailEMC marks one device failed (§4.2): the memory on its slices is
+// lost, and the manager assigns none of them while the device is down.
+func (m *Manager) FailEMC(di int) error {
+	if di < 0 || di >= len(m.emcs) {
+		return fmt.Errorf("pool: fail targets EMC %d of %d", di, len(m.emcs))
+	}
+	m.emcs[di].Fail()
+	return nil
+}
+
 // ShrinkEMC retires up to gb of free capacity on one device, returning
 // the GB actually retired. Slices assigned to hosts — live or draining —
 // are never revoked, so a shrink can fall short; callers re-request at

@@ -168,12 +168,12 @@ type System struct {
 	mitigations int
 }
 
+// vmState is the facade's handle on a running VM; its placement, pool
+// slices included, lives only on its host.
 type vmState struct {
-	handle    *VM
-	host      int
-	placement *host.Placement
-	workload  workload.Workload
-	slices    []pool.SliceRef
+	handle   *VM
+	host     int
+	workload workload.Workload
 }
 
 // NewSystem builds and boots a deployment.
@@ -317,7 +317,6 @@ func (s *System) StartVM(spec VMSpec) (*VM, error) {
 	if res.FellBackToLocal {
 		decision = core.Decision{Kind: core.AllLocal, LocalGB: spec.MemoryGB}
 	}
-	slices := placement.Slices
 
 	// Boot the guest and measure where its accesses land.
 	mm := guest.Boot(placement.Topology, guest.LocalPreferred)
@@ -345,13 +344,7 @@ func (s *System) StartVM(spec VMSpec) (*VM, error) {
 		ZNUMATrafficFrac: access.ZNUMAFrac,
 		SlowdownFrac:     outcome.SlowdownFrac,
 	}
-	s.vms[handle.ID] = &vmState{
-		handle:    handle,
-		host:      hostIdx,
-		placement: placement,
-		workload:  w,
-		slices:    slices,
-	}
+	s.vms[handle.ID] = &vmState{handle: handle, host: hostIdx, workload: w}
 	// Callers get a snapshot: the live handle keeps changing under the
 	// system lock (QoS mitigations move memory around).
 	snapshot := *handle
@@ -421,55 +414,36 @@ func (s *System) RunQoSSweep() []MitigationReport {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var out []MitigationReport
 	for _, id := range ids {
-		st := s.vms[id]
-		if st.placement.PoolGB == 0 {
+		st, vid := s.vms[id], cluster.VMID(id)
+		p, ok := s.hosts[st.host].Placement(vid)
+		if !ok || p.PoolGB == 0 {
 			continue
 		}
 		counters := pmu.Sample(st.workload, s.rng)
-		s.store.RecordSample(cluster.VMID(id), counters)
-		committed, err := s.hosts[st.host].GuestCommittedGB(cluster.VMID(id))
+		s.store.RecordSample(vid, counters)
+		committed, err := s.hosts[st.host].GuestCommittedGB(vid)
 		if err != nil {
 			continue
 		}
-		verdict := s.monitor.Check(st.placement, committed, counters)
+		verdict := s.monitor.Check(p, committed, counters)
 		rep := MitigationReport{
 			VM:            id,
 			Overpredicted: verdict.Overpredicted,
 			Sensitive:     verdict.Sensitive,
 		}
 		if verdict.NeedsMitigation {
-			dur, freed, rerr := s.hosts[st.host].Reconfigure(cluster.VMID(id))
-			switch {
-			case rerr == nil:
-				rep.Reconfigured = true
-				rep.CopySeconds = dur
+			if dur, rerr := s.scheduler.Reconfigure(st.host, vid, s.nowSec); rerr == nil {
+				rep.Reconfigured, rep.CopySeconds = true, dur
+				s.recordAllLocal(st, st.host)
+			} else if target, mdur, merr := s.scheduler.Migrate(st.host, vid, s.nowSec); merr == nil {
+				// No local headroom: the VM moved to a host that takes
+				// it entirely locally (§6.4).
+				rep.Migrated, rep.TargetHost, rep.CopySeconds = true, target, mdur
+				s.recordAllLocal(st, target)
+			}
+			if rep.Reconfigured || rep.Migrated {
 				s.mitigations++
-				s.store.MarkSensitive(st.placement.VM.Customer)
-				// Freed pool slices return to the manager.
-				if freed > 0 && len(st.slices) > 0 {
-					_ = s.hosts[st.host].RemovePoolCapacity(freed)
-					s.manager.ReleaseCapacity(emc.HostID(st.host), st.slices, s.nowSec)
-					st.slices = nil
-				}
-				st.handle.LocalGB += st.handle.PoolGB
-				st.handle.PoolGB = 0
-			default:
-				// No local headroom: live-migrate to a host that can
-				// take the VM entirely locally (§6.4).
-				if target := s.migrationTarget(st); target >= 0 {
-					mdur, slices, merr := host.LiveMigrate(s.hosts[st.host], s.hosts[target], cluster.VMID(id))
-					if merr == nil {
-						rep.Migrated = true
-						rep.TargetHost = target
-						rep.CopySeconds = mdur
-						s.mitigations++
-						s.store.MarkSensitive(st.placement.VM.Customer)
-						if len(slices) > 0 {
-							s.manager.ReleaseCapacity(emc.HostID(st.host), slices, s.nowSec)
-						}
-						s.recordLocalMigration(st, cluster.VMID(id), target)
-					}
-				}
+				s.store.MarkSensitive(p.VM.Customer)
 			}
 		}
 		out = append(out, rep)
@@ -477,33 +451,13 @@ func (s *System) RunQoSSweep() []MitigationReport {
 	return out
 }
 
-// recordLocalMigration updates a vmState after a live migration landed
-// the VM all-local on target: the handle's pool memory folds into local
-// and the placement pointer refreshes to the destination host's copy.
-func (s *System) recordLocalMigration(st *vmState, id cluster.VMID, target int) {
-	st.slices = nil
-	st.host = target
-	if p, ok := s.hosts[target].Placement(id); ok {
-		st.placement = p
-	}
-	st.handle.Host = target
+// recordAllLocal updates a VM's handle after a mitigation or a
+// migration left it entirely on local memory on the given host.
+func (s *System) recordAllLocal(st *vmState, hostIndex int) {
+	st.host = hostIndex
+	st.handle.Host = hostIndex
 	st.handle.LocalGB += st.handle.PoolGB
 	st.handle.PoolGB = 0
-}
-
-// migrationTarget picks a host with room for the VM's full memory
-// locally, or -1.
-func (s *System) migrationTarget(st *vmState) int {
-	vm := st.placement.VM
-	for i, h := range s.hosts {
-		if i == st.host || s.scheduler.Drained(i) {
-			continue
-		}
-		if h.FreeCores() >= vm.Type.Cores && h.FreeLocalGB() >= vm.Type.MemoryGB {
-			return i
-		}
-	}
-	return -1
 }
 
 // DrainHost puts a host into maintenance drain: it stops receiving new
@@ -521,7 +475,7 @@ func (s *System) DrainHost(hostIndex int) (migrated, remaining []int64, err erro
 		id := int64(m.VM)
 		migrated = append(migrated, id)
 		if st, ok := s.vms[id]; ok {
-			s.recordLocalMigration(st, m.VM, m.Target)
+			s.recordAllLocal(st, m.Target)
 		}
 	}
 	for _, id := range left {
@@ -584,44 +538,20 @@ func (s *System) VMInfo(id int64) (*VM, bool) {
 }
 
 // InjectEMCFailure fails one EMC and returns the IDs of the VMs whose
-// memory was on it — the blast radius (§4.2). Affected VMs are stopped.
+// memory was on it — the blast radius (§4.2), in id order. Affected VMs
+// are stopped (core.ClusterScheduler.FailEMC).
 func (s *System) InjectEMCFailure(emcIndex int) ([]int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if emcIndex < 0 || emcIndex >= len(s.devices) {
-		return nil, fmt.Errorf("pond: no EMC %d", emcIndex)
-	}
-	s.devices[emcIndex].Fail()
+	released, err := s.scheduler.FailEMC(emcIndex, s.nowSec)
 	var affected []int64
-	for id, st := range s.vms {
-		for _, ref := range st.slices {
-			if ref.EMC == emcIndex {
-				affected = append(affected, id)
-				break
-			}
-		}
+	for _, p := range released {
+		affected = append(affected, int64(p.VM.ID))
+		delete(s.vms, int64(p.VM.ID))
+		s.store.ForgetVM(p.VM.ID)
 	}
-	// Deterministic blast-radius order (map iteration order is random).
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
-	for _, id := range affected {
-		st := s.vms[id]
-		delete(s.vms, id)
-		if p, err := s.hosts[st.host].ReleaseVM(cluster.VMID(id)); err == nil {
-			_ = s.hosts[st.host].RemovePoolCapacity(float64(len(p.Slices)))
-			// Slices on the dead device are gone with it; survivors on
-			// healthy EMCs drain back to the pool instead of staying
-			// owned forever.
-			var alive []pool.SliceRef
-			for _, ref := range p.Slices {
-				if ref.EMC != emcIndex {
-					alive = append(alive, ref)
-				}
-			}
-			if len(alive) > 0 {
-				s.manager.ReleaseCapacity(emc.HostID(st.host), alive, s.nowSec)
-			}
-		}
-		s.store.ForgetVM(cluster.VMID(id))
+	if err != nil {
+		return affected, fmt.Errorf("pond: %w", err)
 	}
 	return affected, nil
 }

@@ -161,7 +161,11 @@ func TestPredictionsProduceZNUMA(t *testing.T) {
 	}
 }
 
-func TestQoSSweepMitigatesSensitiveAllPool(t *testing.T) {
+// mitigatedSystem builds a seed-5 system whose QoS sweep reconfigures a
+// pool-backed mcf VM, the only VM left running. It returns the system,
+// that VM's id and the sweep's reports.
+func mitigatedSystem(t *testing.T) (*System, int64, []MitigationReport) {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.UsePredictions = true
 	cfg.Seed = 5
@@ -195,22 +199,23 @@ func TestQoSSweepMitigatesSensitiveAllPool(t *testing.T) {
 		t.Skip("no pool-backed placement materialized; nothing to mitigate")
 	}
 	reports := sys.RunQoSSweep()
-	if len(reports) == 0 {
-		t.Fatal("no reports for pool-using VMs")
-	}
 	// mcf with 10% untouched memory spills badly; the monitor should
 	// flag and reconfigure it.
-	found := false
 	for _, rep := range reports {
 		if rep.VM == pooled && rep.Reconfigured {
-			found = true
-			if rep.CopySeconds <= 0 {
-				t.Fatal("reconfiguration without copy cost")
-			}
+			return sys, pooled, reports
 		}
 	}
-	if !found {
-		t.Fatalf("mcf VM not mitigated: %+v", reports)
+	t.Fatalf("mcf VM not mitigated: %+v", reports)
+	return nil, 0, nil
+}
+
+func TestQoSSweepMitigatesSensitiveAllPool(t *testing.T) {
+	sys, pooled, reports := mitigatedSystem(t)
+	for _, rep := range reports {
+		if rep.VM == pooled && rep.CopySeconds <= 0 {
+			t.Fatal("reconfiguration without copy cost")
+		}
 	}
 	vm, ok := sys.VMInfo(pooled)
 	if !ok || vm.PoolGB != 0 {
@@ -218,6 +223,43 @@ func TestQoSSweepMitigatesSensitiveAllPool(t *testing.T) {
 	}
 	if sys.Stats().Mitigations == 0 {
 		t.Fatal("mitigation counter not updated")
+	}
+}
+
+// TestStopVMAfterMitigation: the reconfiguration already offlined and
+// released the VM's slices, so stopping it later succeeds and records
+// its outcome.
+func TestStopVMAfterMitigation(t *testing.T) {
+	sys, id, _ := mitigatedSystem(t)
+	vm, _ := sys.VMInfo(id)
+	customer := cluster.CustomerID(vm.Spec.Customer)
+	before := sys.store.OutcomeCount(customer)
+	if err := sys.StopVM(id); err != nil {
+		t.Fatalf("StopVM after mitigation: %v", err)
+	}
+	if got := sys.store.OutcomeCount(customer); got != before+1 {
+		t.Fatalf("outcomes of customer %d went %d -> %d, want one more", customer, before, got)
+	}
+	if _, ok := sys.store.MeanCounters(cluster.VMID(id)); ok {
+		t.Fatal("the stopped VM's samples were kept")
+	}
+}
+
+// TestDrainHostAfterMitigation: draining a reconfigured VM's host moves
+// it without queueing its already released slices a second time.
+func TestDrainHostAfterMitigation(t *testing.T) {
+	sys, id, _ := mitigatedSystem(t)
+	vm, _ := sys.VMInfo(id)
+	before := sys.manager.PendingGB(sys.Now())
+	migrated, _, err := sys.DrainHost(vm.Host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(migrated) != 1 || migrated[0] != id {
+		t.Fatalf("migrated %v, want [%d]", migrated, id)
+	}
+	if after := sys.manager.PendingGB(sys.Now()); after != before {
+		t.Fatalf("pending releases went %d -> %d GB across the drain, want unchanged", before, after)
 	}
 }
 
