@@ -128,10 +128,10 @@ soak-fleet:
 		-model-scope fleet -canary 0.25 -bake 2000 \
 		-inject drift@t=8000:cells=2-3:mag=0.8 -models models-soak-fleet.json
 
-# Fuzz the user-facing spec parsers, the model import restores decode
-# and the customer-history window against its definition, for a bounded
-# time each (seeds run as plain tests on every `go test`; this explores
-# further, as CI does).
+# Fuzz the user-facing spec parsers, the model import restores decode,
+# and the customer-history window and leaf-quantile selection against
+# their definitions, for a bounded time each (seeds run as plain tests
+# on every `go test`; this explores further, as CI does).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInjections$$' -fuzztime $(FUZZTIME) ./internal/fleet
@@ -140,6 +140,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSweep$$'      -fuzztime $(FUZZTIME) ./internal/experiments
 	$(GO) test -run '^$$' -fuzz '^FuzzImportModel$$'     -fuzztime $(FUZZTIME) ./internal/ml
 	$(GO) test -run '^$$' -fuzz '^FuzzCustomerHistory$$' -fuzztime $(FUZZTIME) ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzQuantileSelect$$'  -fuzztime $(FUZZTIME) ./internal/stats
 
 # Regenerate the committed golden event logs after an intentional
 # behaviour or log-format change.

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"pond/internal/cluster"
@@ -260,7 +261,10 @@ func (cs *ClusterScheduler) Place(vm cluster.VMRequest, d Decision, now float64)
 	var slices []pool.SliceRef
 	localGB, poolGB := d.LocalGB, d.PoolGB
 	if poolGB > 0 && cs.manager != nil {
-		add, err := cs.manager.AddCapacity(emc.HostID(res.HostIndex), int(poolGB), now)
+		// Slices are whole GB: a fractional pool share (an all-pool VM of
+		// fractional size) takes the next whole slice, and its release
+		// returns every slice the grant took.
+		add, err := cs.manager.AddCapacity(emc.HostID(res.HostIndex), int(math.Ceil(poolGB)), now)
 		if err != nil {
 			// Pool exhausted: fall back to all-local (§4.3). The host
 			// chosen above may lack the extra local memory; re-select —
@@ -319,14 +323,17 @@ func (cs *ClusterScheduler) Release(hostIndex int, id cluster.VMID, now float64)
 
 // HandleHostFailure reclaims a dead host's pool memory (§4.2): its VMs
 // are gone with it, and every slice it owned returns to the pool for
-// reallocation to other hosts. It returns the lost VM ids and reclaimed
-// capacity.
+// reallocation to other hosts. The host is marked drained, so Place and
+// Migrate skip it from then on. It returns the lost VM ids, in id order,
+// and the reclaimed capacity.
 func (cs *ClusterScheduler) HandleHostFailure(hostIndex int) (lost []cluster.VMID, reclaimedGB int, err error) {
 	if hostIndex < 0 || hostIndex >= len(cs.hosts) {
 		return nil, 0, fmt.Errorf("core: host index %d out of range", hostIndex)
 	}
+	cs.drained[hostIndex] = true
 	h := cs.hosts[hostIndex]
 	lost = h.VMs()
+	slices.Sort(lost)
 	for _, id := range lost {
 		if _, rerr := h.ReleaseVM(id); rerr != nil {
 			return lost, 0, rerr

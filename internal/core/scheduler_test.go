@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"pond/internal/cluster"
@@ -180,6 +181,74 @@ func TestSchedulerHandleHostFailure(t *testing.T) {
 	}
 	if _, _, err := cs.HandleHostFailure(9); err == nil {
 		t.Fatal("bad host index accepted")
+	}
+}
+
+// TestSchedulerHostFailureDrainsHost checks that a failed host returns
+// its lost VMs in id order and is skipped by Place and Migrate after.
+func TestSchedulerHostFailureDrainsHost(t *testing.T) {
+	cs, _ := newTestScheduler(t, 2, 64)
+	var want []cluster.VMID
+	for i := 1; i <= 12; i++ {
+		vm := schedVM(cluster.VMID(i), 1, 4, "P2-database")
+		res, err := cs.Place(vm, Decision{Kind: AllLocal, LocalGB: 4}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.HostIndex != 0 {
+			t.Fatalf("vm %d packed onto host %d, want host 0", i, res.HostIndex)
+		}
+		want = append(want, cluster.VMID(i))
+	}
+	lost, _, err := cs.HandleHostFailure(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(lost, want) {
+		t.Fatalf("lost %v, want %v in id order", lost, want)
+	}
+	if !cs.Drained(0) {
+		t.Fatal("failed host not drained")
+	}
+	// Both hosts now have every core free, so only the drain keeps the
+	// next VM off host 0, and host 1's VM has nowhere to migrate.
+	res, err := cs.Place(schedVM(13, 1, 4, "P2-database"), Decision{Kind: AllLocal, LocalGB: 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.HostIndex != 1 {
+		t.Fatalf("vm placed on host %d after host 0 failed, want 1", res.HostIndex)
+	}
+	if _, _, err := cs.Migrate(1, 13, 2); !errors.Is(err, ErrNoHost) {
+		t.Fatalf("migration off the last live host: %v, want ErrNoHost", err)
+	}
+}
+
+// TestSchedulerFractionalAllPoolTakesWholeSlices places an all-pool VM of
+// fractional size: the grant rounds up to whole slices, and the release
+// returns all of them.
+func TestSchedulerFractionalAllPoolTakesWholeSlices(t *testing.T) {
+	cs, pm := newTestScheduler(t, 2, 64)
+	vm := schedVM(1, 2, 16.5, "P1-video")
+	res, err := cs.Place(vm, Decision{Kind: AllPool, PoolGB: 16.5}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FellBackToLocal || res.Placement.PoolGB != 16.5 || len(res.Placement.Slices) != 17 {
+		t.Fatalf("placement: fallback %v, %v GB pool on %d slices; want 16.5 GB on 17 slices",
+			res.FellBackToLocal, res.Placement.PoolGB, len(res.Placement.Slices))
+	}
+	if free := pm.FreeGB(0); free != 64-17 {
+		t.Fatalf("pool free = %d, want %d", free, 64-17)
+	}
+	if _, err := cs.Release(res.HostIndex, 1, 10); err != nil {
+		t.Fatal(err)
+	}
+	if free := pm.FreeGB(11); free != 64 {
+		t.Fatalf("pool free after drain = %d, want 64", free)
+	}
+	if cs.Hosts()[res.HostIndex].OnlinePoolGB() != 0 {
+		t.Fatal("host kept pool capacity online")
 	}
 }
 

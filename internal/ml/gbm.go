@@ -2,7 +2,7 @@ package ml
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pond/internal/stats"
 )
@@ -88,6 +88,10 @@ func FitGBM(X [][]float64, y []float64, cfg GBMConfig) *GBM {
 	grad := make([]float64, len(y))
 	leafOf := make([]int, len(y))
 	scratch.leafOf = leafOf
+	// The leaf step's arena, reused by every stage: res holds the stage's
+	// residuals grouped by leaf, and end[l] is where leaf l's group ends.
+	res := make([]float64, len(y))
+	var end []int
 	for stage := 0; stage < cfg.NTrees; stage++ {
 		r := root.Fork(int64(stage + 1))
 		// Pinball-loss gradient: q when under-predicting, q-1 when
@@ -99,23 +103,39 @@ func FitGBM(X [][]float64, y []float64, cfg GBMConfig) *GBM {
 				grad[i] = cfg.Quantile - 1
 			}
 		}
-		tree := fitPresorted(X, grad, treeCfg, r, ps, scratch)
+		tree := fitPresorted(len(X[0]), grad, treeCfg, r, ps, scratch)
 
 		// Leaf adjustment: the pinball-optimal constant per leaf is the
 		// q-quantile of the residuals y - pred landing in that leaf. The
 		// fit recorded each row's leaf id as its leaves were made, so no
-		// per-row tree traversal is needed here.
-		residuals := make([][]float64, tree.Leaves())
-		for i := range y {
-			residuals[leafOf[i]] = append(residuals[leafOf[i]], y[i]-pred[i])
+		// per-row tree traversal is needed here. A counting sort groups the
+		// residuals by leaf, each group in row order, and selection reads
+		// the quantile's order statistics without sorting the group.
+		leaves := tree.Leaves()
+		end = slices.Grow(end[:0], leaves)[:leaves]
+		clear(end)
+		for _, l := range leafOf {
+			end[l]++
 		}
-		for leaf, res := range residuals {
-			if len(res) == 0 {
+		// Turn the counts into group starts; filling each group forward
+		// moves its cursor onto the group's end.
+		sum := 0
+		for l, c := range end {
+			end[l] = sum
+			sum += c
+		}
+		for i, l := range leafOf {
+			res[end[l]] = y[i] - pred[i]
+			end[l]++
+		}
+		start := 0
+		for leaf, e := range end {
+			if e == start {
 				tree.SetLeafValue(leaf, 0)
 				continue
 			}
-			sort.Float64s(res)
-			tree.SetLeafValue(leaf, stats.QuantileSorted(res, cfg.Quantile))
+			tree.SetLeafValue(leaf, stats.QuantileSelect(res[start:e], cfg.Quantile))
+			start = e
 		}
 		for i := range pred {
 			pred[i] += cfg.LearningRate * tree.LeafValue(leafOf[i])

@@ -61,17 +61,24 @@ type Tree struct {
 	features int
 }
 
-// Presort carries per-feature argsort orders over a fixed training
-// matrix, plus column-major value copies for scan locality. Building it
-// costs one sort per feature; every tree grown from it finds splits by
-// linear scans of the presorted orders instead of re-sorting at each
-// node, and partitions the orders down the tree. A gradient-boosting run
-// fits all its stages on the same rows, so one Presort amortizes over
-// the whole ensemble — this is where the experiment suite's GBM training
-// time goes from minutes to seconds.
+// Presort carries every feature's rows in ascending order of that
+// feature, one packed word per row: the index of the row's run of equal
+// x (its group) in the high 32 bits and the row in the low 32, with
+// gx[f][g] the x value of feature f's run g. Building it costs one sort
+// per feature; every tree grown from it finds splits by linear scans of
+// the packed orders instead of re-sorting at each node, and partitions
+// the words down the tree. A gradient-boosting run fits all its stages
+// on the same rows, so one Presort amortizes over the whole ensemble.
+//
+// Group ids stand in for x values bit for bit. A group starts exactly
+// where neighbouring sorted values differ (`!=`), so a group boundary is
+// where a scan of the values sees xk != xk1. Values inside one run
+// compare equal, so any of them meets a threshold the same way; they can
+// differ only as -0 and +0, whose neighbouring runs are nonzero, so the
+// midpoint (gx[f][g]+gx[f][g'])/2 has the bits of (xk+xk1)/2.
 type Presort struct {
-	order [][]int32   // order[f] = row indexes ascending by X[_][f]
-	cols  [][]float64 // cols[f][i] = X[i][f]
+	words [][]uint64  // words[f][k] = group<<32 | row, ascending by X[row][f]
+	gx    [][]float64 // gx[f][g] = the x value of feature f's run g
 }
 
 // columns transposes the row-major training matrix into per-feature
@@ -88,20 +95,37 @@ func columns(X [][]float64) [][]float64 {
 	return cols
 }
 
-// NewPresort argsorts every feature column of X.
+// NewPresort argsorts every feature column of X and packs the orders.
 func NewPresort(X [][]float64) *Presort {
 	if len(X) == 0 {
 		panic("ml: presort of empty matrix")
 	}
-	cols := columns(X)
-	ps := &Presort{order: make([][]int32, len(cols)), cols: cols}
-	for f, col := range cols {
-		ord := make([]int32, len(X))
+	n, nf := len(X), len(X[0])
+	ps := &Presort{words: make([][]uint64, nf), gx: make([][]float64, nf)}
+	wordBuf := make([]uint64, nf*n)
+	gxBuf := make([]float64, 0, nf*n)
+	col := make([]float64, n)
+	ord := make([]int32, n)
+	for f := range nf {
+		for i := range X {
+			col[i] = X[i][f]
+		}
 		for i := range ord {
 			ord[i] = int32(i)
 		}
+		// The order of rows with equal x is the order in which a node sums
+		// their targets, so this sort and its starting order fix the bits.
 		slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
-		ps.order[f] = ord
+		words := wordBuf[f*n : (f+1)*n]
+		start := len(gxBuf)
+		for k, i := range ord {
+			if k == 0 || col[i] != col[ord[k-1]] {
+				gxBuf = append(gxBuf, col[i])
+			}
+			words[k] = uint64(len(gxBuf)-start-1)<<32 | uint64(i)
+		}
+		ps.words[f] = words
+		ps.gx[f] = gxBuf[start:len(gxBuf):len(gxBuf)]
 	}
 	return ps
 }
@@ -226,11 +250,11 @@ func (g *sparseGrower) fit(n int, r *stats.Rand) *Tree {
 // buffer); the children recurse on disjoint subslices of it.
 func (t *Tree) growSparse(g *sparseGrower, idx []int32, depth int, r *stats.Rand) *node {
 	if depth >= g.cfg.MaxDepth || len(idx) < 2*g.cfg.MinLeaf || pure(g.y, idx) {
-		return t.makeLeaf(g.y, idx)
+		return makeLeaf(t, g.y, idx)
 	}
 	feat, thr, ok := bestSplitSparse(g, idx, r)
 	if !ok {
-		return t.makeLeaf(g.y, idx)
+		return makeLeaf(t, g.y, idx)
 	}
 	col := g.cols[feat]
 	nl := 0
@@ -258,7 +282,7 @@ func (t *Tree) growSparse(g *sparseGrower, idx []int32, depth int, r *stats.Rand
 	copy(idx[nl:], part)
 	left, right := idx[:nl], idx[nl:]
 	if len(left) < g.cfg.MinLeaf || len(right) < g.cfg.MinLeaf {
-		return t.makeLeaf(g.y, idx)
+		return makeLeaf(t, g.y, idx)
 	}
 	return &node{
 		feature:   feat,
@@ -713,62 +737,42 @@ func FitTreePresorted(X [][]float64, y []float64, cfg TreeConfig, r *stats.Rand,
 	if cfg.FeatureFrac <= 0 || cfg.FeatureFrac > 1 {
 		cfg.FeatureFrac = 1
 	}
-	return fitPresorted(X, y, cfg, r, ps, &denseScratch{})
+	return fitPresorted(len(X[0]), y, cfg, r, ps, &denseScratch{})
 }
 
 // fitPresorted is FitTreePresorted with an explicit scratch, so ensemble
 // fits (the GBM's stage loop) can reuse one arena across every tree.
-func fitPresorted(X [][]float64, y []float64, cfg TreeConfig, r *stats.Rand, ps *Presort, scratch *denseScratch) *Tree {
+// width is the input width the tree reads.
+func fitPresorted(width int, y []float64, cfg TreeConfig, r *stats.Rand, ps *Presort, scratch *denseScratch) *Tree {
 	n := len(y)
-	nf := len(ps.order)
-	if len(scratch.work) != nf {
-		scratch.work = make([][]int32, nf)
-		scratch.xsw = make([][]float64, nf)
-		scratch.ysw = make([][]float64, nf)
+	if len(scratch.work) != len(ps.words) {
+		scratch.work = make([][]uint64, len(ps.words))
 	}
-	for f, ord := range ps.order {
+	for f, words := range ps.words {
 		if cap(scratch.work[f]) < n {
-			scratch.work[f] = make([]int32, n)
-			scratch.xsw[f] = make([]float64, n)
-			scratch.ysw[f] = make([]float64, n)
+			scratch.work[f] = make([]uint64, n)
 		}
-		w := scratch.work[f][:n]
-		xs := scratch.xsw[f][:n]
-		ys := scratch.ysw[f][:n]
-		col := ps.cols[f]
-		for k, i := range ord {
-			w[k] = i
-			xs[k] = col[i]
-			ys[k] = y[i]
-		}
-		scratch.work[f], scratch.xsw[f], scratch.ysw[f] = w, xs, ys
+		scratch.work[f] = scratch.work[f][:n]
+		copy(scratch.work[f], words)
 	}
-	if cap(scratch.part) < n {
-		scratch.part = make([]int32, 0, n)
-		scratch.xpart = make([]float64, 0, n)
-		scratch.ypart = make([]float64, 0, n)
+	if len(scratch.part) < n {
+		scratch.part = make([]uint64, n)
+		scratch.side = make([]byte, n)
 	}
-	t := &Tree{features: len(X[0])}
-	t.root = t.grow(ps.cols, y, scratch.work, 0, n, cfg, 0, r, scratch)
+	t := &Tree{features: width}
+	t.root = t.grow(ps.gx, y, scratch.work, 0, n, cfg, 0, r, scratch)
 	return t
 }
 
 // denseScratch holds the dense strategy's per-fit reusable state: the
-// feature-subset buffer, a working copy of the presorted orders that is
-// partitioned in place down the tree, and the stable-partition scratch.
-// One scratch serves every stage of a GBM fit, so growing a tree
-// allocates only its nodes.
+// feature-subset buffer, a working copy of the packed presort words that
+// is partitioned in place down the tree, and the partition scratch. One
+// scratch serves every stage of a GBM fit, so growing a tree allocates
+// only its nodes.
 type denseScratch struct {
 	perm []int
-	work [][]int32
-	part []int32
-	// xsw/ysw mirror work: xsw[f][k] and ysw[f][k] are the x value and
-	// target of row work[f][k]. Partitions maintain them alongside the
-	// orders, so candidate scans stream three flat arrays instead of
-	// gathering values through row indices. xpart/ypart are the matching
-	// stable-partition scratches.
-	xsw, ysw     [][]float64
-	xpart, ypart []float64
+	work [][]uint64
+	part []uint64
 	// side flags the left-going rows of the node being split (1 = left);
 	// always all-zero between partitions.
 	side []byte
@@ -780,18 +784,23 @@ type denseScratch struct {
 	leafOf []int
 }
 
+// singleRun reports whether a node's window of packed words is one run
+// of equal x. Such a feature has no threshold to offer at this node or
+// below, and its window is not partitioned further: a child's stale
+// window still holds words of that one run, so the test stays true.
+func singleRun(ws []uint64) bool { return ws[0]>>32 == ws[len(ws)-1]>>32 }
+
 // grow recursively builds the subtree over the rows in work[_][lo:hi]
-// (the node's membership, presorted per feature; every feature's window
-// holds the same rows). cols is the column-major view of the training
-// matrix. Splitting stably partitions each window in place, so the
-// children recurse on disjoint subwindows and no per-node lists are
-// allocated.
-func (t *Tree) grow(cols [][]float64, y []float64, work [][]int32, lo, hi int, cfg TreeConfig, depth int, r *stats.Rand, scratch *denseScratch) *node {
+// (the node's membership, presorted per feature; every live feature's
+// window holds the same rows). gx holds the runs' x values. Splitting
+// partitions each window in place, so the children recurse on disjoint
+// subwindows and no per-node lists are allocated.
+func (t *Tree) grow(gx [][]float64, y []float64, work [][]uint64, lo, hi int, cfg TreeConfig, depth int, r *stats.Rand, scratch *denseScratch) *node {
 	rows := work[0][lo:hi]
 	if depth >= cfg.MaxDepth || len(rows) < 2*cfg.MinLeaf || pure(y, rows) {
 		return t.makeLeafRecorded(y, rows, scratch)
 	}
-	feat, thr, ok := bestSplit(cols, y, work, lo, hi, cfg, r, scratch)
+	feat, thr, ok := bestSplit(gx, y, work, lo, hi, cfg, r, scratch)
 	if !ok {
 		return t.makeLeafRecorded(y, rows, scratch)
 	}
@@ -799,11 +808,12 @@ func (t *Tree) grow(cols [][]float64, y []float64, work [][]int32, lo, hi int, c
 	// a target sum in row order, so rows must stay untouched on this path.
 	// The split feature's window is sorted, so the left count is a binary
 	// search for the first value above the threshold.
-	xsFeat := scratch.xsw[feat][lo:hi]
-	a, b := 0, len(xsFeat)
+	split := work[feat][lo:hi]
+	gxf := gx[feat]
+	a, b := 0, len(split)
 	for a < b {
 		mid := int(uint(a+b) >> 1)
-		if xsFeat[mid] <= thr {
+		if gxf[split[mid]>>32] <= thr {
 			a = mid + 1
 		} else {
 			b = mid
@@ -814,72 +824,67 @@ func (t *Tree) grow(cols [][]float64, y []float64, work [][]int32, lo, hi int, c
 		return t.makeLeafRecorded(y, rows, scratch)
 	}
 	// Flag the left-going rows once (the split feature's sorted window
-	// makes them its first nl entries), then route every other feature's
-	// window by the flag — a byte load instead of a column gather.
-	if len(scratch.side) < len(cols[0]) {
-		scratch.side = make([]byte, len(cols[0]))
-	}
+	// makes them its first nl words), then stably route every other live
+	// feature's window by the flag. Feature 0 always moves: its window
+	// supplies the totals, purity, leaf sums and leaf ids, which is all a
+	// child that cannot split reads, so when neither child can split no
+	// other feature moves.
 	side := scratch.side
-	leftRows := work[feat][lo : lo+nl]
-	for _, i := range leftRows {
-		side[i] = 1
+	for _, w := range split[:nl] {
+		side[uint32(w)] = 1
 	}
+	leavesOnly := depth+1 >= cfg.MaxDepth || max(nl, len(rows)-nl) < 2*cfg.MinLeaf
+	part := scratch.part
 	for f, ord := range work {
-		if f == feat {
-			continue // already partitioned: its window is sorted by x
-		}
 		seg := ord[lo:hi]
-		xseg := scratch.xsw[f][lo:hi]
-		yseg := scratch.ysw[f][lo:hi]
-		part := scratch.part[:0]
-		xpart := scratch.xpart[:0]
-		ypart := scratch.ypart[:0]
-		w := 0
-		for k, i := range seg {
-			if side[i] != 0 {
-				seg[w] = i
-				xseg[w] = xseg[k]
-				yseg[w] = yseg[k]
-				w++
-			} else {
-				part = append(part, i)
-				xpart = append(xpart, xseg[k])
-				ypart = append(ypart, yseg[k])
-			}
+		if f == feat || (f != 0 && (leavesOnly || singleRun(seg))) {
+			continue
 		}
-		copy(seg[w:], part)
-		copy(xseg[w:], xpart)
-		copy(yseg[w:], ypart)
+		// Two cursors, no branch: every word is written to both sides and
+		// only the cursor of its own side advances.
+		nw, np := 0, 0
+		for _, w := range seg {
+			s := int(side[uint32(w)])
+			seg[nw] = w
+			part[np] = w
+			nw += s
+			np += 1 - s
+		}
+		copy(seg[nw:], part[:np])
 	}
-	for _, i := range leftRows {
-		side[i] = 0
+	for _, w := range split[:nl] {
+		side[uint32(w)] = 0
 	}
 	return &node{
 		feature:   feat,
 		threshold: thr,
-		left:      t.grow(cols, y, work, lo, lo+nl, cfg, depth+1, r, scratch),
-		right:     t.grow(cols, y, work, lo+nl, hi, cfg, depth+1, r, scratch),
+		left:      t.grow(gx, y, work, lo, lo+nl, cfg, depth+1, r, scratch),
+		right:     t.grow(gx, y, work, lo+nl, hi, cfg, depth+1, r, scratch),
 	}
 }
 
 // makeLeafRecorded is makeLeaf plus leaf-id recording for the dense
 // strategy's ensemble fits.
-func (t *Tree) makeLeafRecorded(y []float64, rows []int32, scratch *denseScratch) *node {
-	leaf := t.makeLeaf(y, rows)
+func (t *Tree) makeLeafRecorded(y []float64, rows []uint64, scratch *denseScratch) *node {
+	leaf := makeLeaf(t, y, rows)
 	if scratch.leafOf != nil {
-		for _, i := range rows {
-			scratch.leafOf[i] = leaf.leafID
+		for _, w := range rows {
+			scratch.leafOf[uint32(w)] = leaf.leafID
 		}
 	}
 	return leaf
 }
 
-// makeLeaf creates a leaf whose value is the target mean (probability for
-// 0/1 targets).
-func (t *Tree) makeLeaf(y []float64, rows []int32) *node {
+// rowRef names a training row: a plain index (the sparse strategy) or a
+// packed presort word, whose low 32 bits hold the row (the dense one).
+type rowRef interface{ ~int32 | ~uint64 }
+
+// makeLeaf creates a leaf of t whose value is the target mean
+// (probability for 0/1 targets), summed in the order of rows.
+func makeLeaf[R rowRef](t *Tree, y []float64, rows []R) *node {
 	var sum float64
 	for _, i := range rows {
-		sum += y[i]
+		sum += y[uint32(i)]
 	}
 	n := &node{leaf: true, leafID: len(t.leaves), value: sum / float64(len(rows))}
 	t.leaves = append(t.leaves, n)
@@ -887,9 +892,10 @@ func (t *Tree) makeLeaf(y []float64, rows []int32) *node {
 }
 
 // pure reports whether all targets in rows are identical.
-func pure(y []float64, rows []int32) bool {
+func pure[R rowRef](y []float64, rows []R) bool {
+	y0 := y[uint32(rows[0])]
 	for _, i := range rows[1:] {
-		if y[i] != y[rows[0]] {
+		if y[uint32(i)] != y0 {
 			return false
 		}
 	}
@@ -898,45 +904,56 @@ func pure(y []float64, rows []int32) bool {
 
 // bestSplit scans a feature subset for the impurity-minimizing threshold.
 // Each candidate feature's rows arrive presorted, so all thresholds are
-// evaluated in one O(n) prefix-statistics pass with no sorting.
-func bestSplit(cols [][]float64, y []float64, work [][]int32, lo, hi int, cfg TreeConfig, r *stats.Rand, scratch *denseScratch) (feat int, thr float64, ok bool) {
+// evaluated in one O(n) prefix-statistics pass with no sorting. Targets
+// are read through the packed words' rows, run boundaries are group-id
+// changes, and thresholds come from the runs' x values.
+func bestSplit(gx [][]float64, y []float64, work [][]uint64, lo, hi int, cfg TreeConfig, r *stats.Rand, scratch *denseScratch) (feat int, thr float64, ok bool) {
 	candidates := featureSubsetInto(scratch.perm, len(work), cfg.FeatureFrac, r)
 	scratch.perm = candidates
 	// The node's total target statistics are feature-independent: one
-	// pass here instead of one per candidate feature. Feature 0's target
-	// mirror visits rows in the same order work[0] does.
+	// pass over feature 0's window instead of one per candidate feature.
 	var totSum, totSq float64
-	for _, yv := range scratch.ysw[0][lo:hi] {
+	for _, w := range work[0][lo:hi] {
+		yv := y[uint32(w)]
 		totSum += yv
 		totSq += yv * yv
 	}
 	bestScore := infinity
+	m := hi - lo
+	n := float64(m)
+	// A split after position k leaves k+1 rows on the left and m-k-1 on
+	// the right, so only k in [first, last] can meet MinLeaf; the prefix
+	// sums still accumulate from k = 0, and nothing after last is read.
+	first, last := cfg.MinLeaf-1, m-cfg.MinLeaf-1
 	for _, f := range candidates {
-		xs := scratch.xsw[f][lo:hi]
-		ys := scratch.ysw[f][lo:hi]
+		ws := work[f][lo:hi]
+		if singleRun(ws) {
+			continue // no boundary to split at
+		}
 		var lSum, lSq float64
-		n := float64(len(xs))
-		for k := 0; k < len(xs)-1; k++ {
-			yk := ys[k]
+		for _, w := range ws[:first] {
+			yk := y[uint32(w)]
 			lSum += yk
 			lSq += yk * yk
-			xk := xs[k]
-			xk1 := xs[k+1]
-			if xk == xk1 {
-				continue // cannot split between equal values
+		}
+		w := ws[first]
+		for k := first; k <= last; k++ {
+			yk := y[uint32(w)]
+			lSum += yk
+			lSq += yk * yk
+			w1 := ws[k+1]
+			// No split inside a run of equal values.
+			if (w^w1)>>32 != 0 {
+				ln := float64(k + 1)
+				score := splitScore(cfg.Criterion, lSum, lSq, totSum, totSq, ln, n-ln)
+				if score < bestScore {
+					bestScore = score
+					feat = f
+					thr = (gx[f][w>>32] + gx[f][w1>>32]) / 2
+					ok = true
+				}
 			}
-			ln := float64(k + 1)
-			rn := n - ln
-			if int(ln) < cfg.MinLeaf || int(rn) < cfg.MinLeaf {
-				continue
-			}
-			score := splitScore(cfg.Criterion, lSum, lSq, totSum, totSq, ln, rn)
-			if score < bestScore {
-				bestScore = score
-				feat = f
-				thr = (xk + xk1) / 2
-				ok = true
-			}
+			w = w1
 		}
 	}
 	return feat, thr, ok

@@ -11,6 +11,8 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -42,20 +44,105 @@ func QuantileSortedFunc(n int, q float64, at func(i int) float64) float64 {
 	if n == 0 {
 		panic("stats: QuantileSorted of empty slice")
 	}
+	lo, hi, frac := quantileRanks(n, q)
+	if lo == hi {
+		return at(lo)
+	}
+	return lerp(at(lo), at(hi), frac)
+}
+
+// quantileRanks returns the ranks (0-based, ascending) of the two order
+// statistics the q-th quantile of n > 0 values interpolates between, and
+// the weight of the upper one.
+func quantileRanks(n int, q float64) (lo, hi int, frac float64) {
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("stats: quantile %v out of range [0,1]", q))
 	}
 	if n == 1 {
-		return at(0)
+		return 0, 0, 0
 	}
 	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return at(lo)
+	lo = int(math.Floor(pos))
+	hi = int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
+}
+
+// lerp is the one interpolation between neighbouring order statistics.
+func lerp(a, b, frac float64) float64 { return a*(1-frac) + b*frac }
+
+// QuantileSelect returns, bit for bit, what sort.Float64s followed by
+// QuantileSorted returns for xs, but finds only the two order statistics
+// the interpolation reads, in expected O(n). It reorders xs in place.
+//
+// Without NaN or -0 in xs, values that compare equal have equal bits, so
+// every arrangement puts the same bits at each rank and selection agrees
+// with the sort. A NaN or a -0 makes the answer depend on where the sort
+// itself leaves NaNs (by payload) or -0 against +0, so then xs is sorted
+// with sort.Float64s. Selection sorts what is left of its window after
+// about 2·log2(n) partition rounds, which bounds the worst case at
+// O(n log n).
+func QuantileSelect(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		panic("stats: QuantileSelect of empty slice")
 	}
-	frac := pos - float64(lo)
-	return at(lo)*(1-frac) + at(hi)*frac
+	lo, hi, frac := quantileRanks(len(xs), q)
+	for _, x := range xs {
+		if x != x || math.Float64bits(x) == 1<<63 {
+			sort.Float64s(xs)
+			return QuantileSorted(xs, q)
+		}
+	}
+	selectRank(xs, lo, 2*bits.Len(uint(len(xs))))
+	if lo == hi {
+		return xs[lo]
+	}
+	// hi is lo+1, and selection left nothing below xs[lo] after it.
+	next := xs[hi]
+	for _, x := range xs[hi+1:] {
+		next = min(next, x)
+	}
+	return lerp(xs[lo], next, frac)
+}
+
+// selectRank reorders xs, which holds no NaN, so that xs[k] is its k-th
+// smallest value (0-based) with nothing larger before it and nothing
+// smaller after it: Hoare partitions around a median-of-three pivot,
+// narrowing to the side that holds k. After rounds partitions it sorts
+// the window left instead.
+func selectRank(xs []float64, k, rounds int) {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		if rounds == 0 {
+			slices.Sort(xs[lo : hi+1])
+			return
+		}
+		rounds--
+		a, b, c := xs[lo], xs[int(uint(lo+hi)>>1)], xs[hi]
+		p := max(min(a, b), min(max(a, b), c))
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < p {
+				i++
+			}
+			for p < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] <= p <= xs[i..hi], and every value between is p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs.

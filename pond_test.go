@@ -1,6 +1,7 @@
 package pond
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -447,6 +448,81 @@ func TestInjectHostFailure(t *testing.T) {
 	}
 	if _, err := sys.InjectHostFailure(99); err == nil {
 		t.Fatal("bad host index accepted")
+	}
+}
+
+// TestInjectHostFailureDrainsDeadHost checks that a failed host takes no
+// further VMs and that its lost VMs come back in id order.
+func TestInjectHostFailureDrainsDeadHost(t *testing.T) {
+	sys := newTestSystem(t)
+	var want []int64
+	for i := 0; i < 6; i++ {
+		vm, err := sys.StartVM(VMSpec{Cores: 2, MemoryGB: 8, Workload: "P5-web"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vm.Host != 0 {
+			t.Fatalf("vm %d packed onto host %d, want host 0", vm.ID, vm.Host)
+		}
+		want = append(want, vm.ID)
+	}
+	lost, err := sys.InjectHostFailure(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(lost, want) {
+		t.Fatalf("lost %v, want %v in id order", lost, want)
+	}
+	for i := 0; i < 3; i++ {
+		vm, err := sys.StartVM(VMSpec{Cores: 2, MemoryGB: 8, Workload: "P5-web"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vm.Host == 0 {
+			t.Fatalf("vm %d placed on the failed host", vm.ID)
+		}
+	}
+}
+
+// TestStartVMFractionalAllPool starts a VM of fractional size whose
+// decision is all-pool (the third start of one customer's VMs at seed 3):
+// its grant takes the next whole slice, and stopping it returns every
+// slice.
+func TestStartVMFractionalAllPool(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 3
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := sys.Stats().PoolFreeGB
+	spec := VMSpec{Cores: 2, MemoryGB: 16.5, Workload: "P1-video", Customer: 7}
+	var vm *VM
+	for i := 1; i <= 3; i++ {
+		if vm, err = sys.StartVM(spec); err != nil {
+			t.Fatalf("start %d: %v", i, err)
+		}
+		if i == 3 {
+			break
+		}
+		sys.AdvanceSeconds(100)
+		if err := sys.StopVM(vm.ID); err != nil {
+			t.Fatal(err)
+		}
+		sys.AdvanceSeconds(100)
+	}
+	if vm.Decision != "all-pool" || vm.PoolGB != 16.5 {
+		t.Fatalf("third start: %s with %v GB pool, want all-pool with 16.5", vm.Decision, vm.PoolGB)
+	}
+	if free := sys.Stats().PoolFreeGB; free != initial-17 {
+		t.Fatalf("pool free %d GB with the VM running, want %d (17 slices granted)", free, initial-17)
+	}
+	if err := sys.StopVM(vm.ID); err != nil {
+		t.Fatal(err)
+	}
+	sys.AdvanceSeconds(100)
+	if st := sys.Stats(); st.PoolFreeGB != initial || st.PoolUsedGB != 0 {
+		t.Fatalf("after stop: pool free %d GB, used %v, want %d free and 0 used", st.PoolFreeGB, st.PoolUsedGB, initial)
 	}
 }
 
